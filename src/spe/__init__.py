@@ -6,172 +6,60 @@ by two-stage maximum likelihood with an analytic policy gradient.
 """
 from __future__ import annotations
 
-from .errors import (
-    ContractionUndefined,
-    EstimationError,
-    InvalidParams,
-    MaxIterExceeded,
-    NonConvergence,
-    NonFiniteObjective,
-    ParseError,
-    SchemaError,
-    ZeroObservationProbability,
-)
-from .model import (
-    EULER_GAMMA,
-    Belief,
-    History,
-    PomdpModel,
-    apply_lambda_M,
-    expected_reward,
-    lambda_update,
-    load_model,
-    save_model,
-    sigma,
-)
-from .grid import BeliefGrid
-from .bellman import (
-    QTable,
-    SolveResult,
-    bellman_apply,
-    ccp,
-    finite_horizon_solve,
-    load_qtable,
-    qtable_bound,
-    save_qtable,
-    soft_value,
-    solve,
-)
-from .likelihood import (
-    FilteredPath,
-    GradQTable,
-    LogLikelihood,
-    SmoothnessConstants,
-    filter_dataset,
-    filter_history,
-    grad_log_pi,
-    grad_q,
-    log_likelihood,
-    observation_loglik,
-    pseudo_log_likelihood,
-    smoothness_constants,
-)
-from .estimator import (
-    EstimateReport,
-    EstimatorConfig,
-    Stage1Result,
-    Stage2Result,
-    empirical_increments,
-    estimate,
-    fit_mdp_baseline,
-    stage1_fit_theta2,
-    stage2_policy_gradient,
-)
-from .engine import (
-    EngineFamily,
-    EngineParams,
-    MdpEngineFamily,
-    SimConfig,
-    SimResult,
-    build_engine_model,
-    emit_dataset,
-    emit_debug_sidecar,
-    load_dataset,
-    load_fleet_records,
-    load_params,
-    reference_params,
-    save_params,
-    simulate,
-)
-from .sensitivity import (
-    ContractionReport,
-    IdentificationProbe,
-    X0SweepResult,
-    belief_metric,
-    contraction_certificate,
-    contraction_check,
-    contraction_coefficient,
-    eta_table,
-    two_period_identification_probe,
-    x0_sweep_estimate,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "EULER_GAMMA",
-    "Belief",
-    "BeliefGrid",
-    "ContractionReport",
-    "ContractionUndefined",
-    "EngineFamily",
-    "EngineParams",
-    "EstimateReport",
-    "EstimationError",
-    "EstimatorConfig",
-    "FilteredPath",
-    "GradQTable",
-    "History",
-    "IdentificationProbe",
-    "InvalidParams",
-    "LogLikelihood",
-    "MaxIterExceeded",
-    "MdpEngineFamily",
-    "NonConvergence",
-    "NonFiniteObjective",
-    "ParseError",
-    "PomdpModel",
-    "QTable",
-    "SchemaError",
-    "SimConfig",
-    "SimResult",
-    "SmoothnessConstants",
-    "SolveResult",
-    "Stage1Result",
-    "Stage2Result",
-    "X0SweepResult",
-    "ZeroObservationProbability",
-    "apply_lambda_M",
-    "belief_metric",
-    "bellman_apply",
-    "build_engine_model",
-    "ccp",
-    "contraction_certificate",
-    "contraction_check",
-    "contraction_coefficient",
-    "emit_dataset",
-    "emit_debug_sidecar",
-    "empirical_increments",
-    "estimate",
-    "eta_table",
-    "expected_reward",
-    "filter_dataset",
-    "filter_history",
-    "finite_horizon_solve",
-    "fit_mdp_baseline",
-    "grad_log_pi",
-    "grad_q",
-    "lambda_update",
-    "load_dataset",
-    "load_fleet_records",
-    "load_model",
-    "load_params",
-    "load_qtable",
-    "log_likelihood",
-    "observation_loglik",
-    "pseudo_log_likelihood",
-    "qtable_bound",
-    "reference_params",
-    "save_model",
-    "save_params",
-    "save_qtable",
-    "sigma",
-    "simulate",
-    "smoothness_constants",
-    "soft_value",
-    "solve",
-    "stage1_fit_theta2",
-    "stage2_policy_gradient",
-    "two_period_identification_probe",
-    "x0_sweep_estimate",
-]
+# Public name -> submodule that defines it. Submodules load on first access
+# (PEP 562), so importing the package, or spe.cli, loads no numerical stack:
+# the CLI sets thread-pool sizes before numpy is imported.
+_SUBMODULES = {
+    "errors": (
+        "ContractionUndefined", "EstimationError", "InvalidParams", "MaxIterExceeded",
+        "NonConvergence", "NonFiniteObjective", "ParseError", "SchemaError",
+        "ZeroObservationProbability",
+    ),
+    "model": (
+        "EULER_GAMMA", "Belief", "History", "PomdpModel", "apply_lambda_M",
+        "expected_reward", "lambda_update", "load_model", "save_model", "sigma",
+    ),
+    "grid": ("BeliefGrid",),
+    "bellman": (
+        "QTable", "SolveResult", "bellman_apply", "ccp", "finite_horizon_solve",
+        "load_qtable", "qtable_bound", "save_qtable", "soft_value", "solve",
+    ),
+    "likelihood": (
+        "FilteredPath", "GradQTable", "LogLikelihood", "SmoothnessConstants",
+        "filter_dataset", "filter_history", "grad_log_pi", "grad_q", "log_likelihood",
+        "observation_loglik", "pseudo_log_likelihood", "smoothness_constants",
+    ),
+    "estimator": (
+        "EstimateReport", "EstimatorConfig", "Stage1Result", "Stage2Result",
+        "empirical_increments", "estimate", "fit_mdp_baseline", "stage1_fit_theta2",
+        "stage2_policy_gradient",
+    ),
+    "engine": (
+        "EngineFamily", "EngineParams", "MdpEngineFamily", "SimConfig", "SimResult",
+        "build_engine_model", "emit_dataset", "emit_debug_sidecar", "load_dataset",
+        "load_fleet_records", "load_params", "reference_params", "save_params", "simulate",
+    ),
+    "sensitivity": (
+        "ContractionReport", "IdentificationProbe", "X0SweepResult", "belief_metric",
+        "contraction_certificate", "contraction_check", "contraction_coefficient",
+        "eta_table", "two_period_identification_probe", "x0_sweep_estimate",
+    ),
+}
+_HOME = {name: module for module, names in _SUBMODULES.items() for name in names}
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

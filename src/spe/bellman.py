@@ -7,15 +7,20 @@ sweep computes
 
 with the soft value Vbar(z, x) = euler_gamma + log sum_a exp Q(z, x, a), where
 successor values are evaluated by barycentric interpolation on the grid. The
-sweep is a sup-norm contraction with modulus equal to the discount factor, so
-fixed-point iteration converges geometrically.
+successor weights are assembled once into a sparse matrix discount * W with
+rows (z, x, a) and columns (z', node), so a sweep is one log-sum-exp and one
+sparse product. The sweep is a sup-norm contraction with modulus equal to the
+discount factor, so fixed-point iteration converges geometrically; the same
+span-corrected loop solves Q here and its parameter gradient in likelihood.
 """
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 from scipy.special import logsumexp, softmax
 
 from .errors import InvalidParams, MaxIterExceeded
@@ -71,14 +76,63 @@ def qtable_bound(model: PomdpModel) -> float:
     ) + 1.0
 
 
+def _step_spans(x_next: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """Per-component max and min of a step along the trailing axis, and its sup norm."""
+    p = x.shape[-1]
+    # Reduce over a contiguous (component, entry) layout: a strided reduction
+    # over the leading axes costs more than the sweep itself.
+    step = np.subtract(x_next.reshape(-1, p).T, x.reshape(-1, p).T, order="C")
+    d_max, d_min = step.max(axis=1), step.min(axis=1)
+    return d_max, d_min, max(float(d_max.max()), -float(d_min.min()))
+
+
+def _span_corrected_iteration(sweep, x: np.ndarray, beta: float, tol: float, max_iter, what: str):
+    """Iterate x <- sweep(x) until one sweep moves no entry by more than tol.
+
+    x carries a trailing component axis, and sweep shifts a constant added to
+    one component by beta times that constant (an affine map whose successor
+    weights sum to one). Once the span of a component's step is small, its
+    remaining offset therefore solves to beta/(1 - beta) times the midpoint of
+    the step; the corrected iterate is accepted only after a verification
+    sweep confirms the residual. Returns (x, sweeps, residual) and raises
+    MaxIterExceeded when the cap is hit with the residual above tol.
+    """
+    span_gate = tol * (1.0 - beta)
+    x_next = sweep(x)
+    d_max, d_min, residual = _step_spans(x_next, x)
+    if max_iter is None:
+        if residual <= tol or beta == 0.0:
+            max_iter = 2
+        else:
+            # Geometric decay reaches tol * (1 - beta) within this many sweeps.
+            max_iter = int(np.ceil(np.log(span_gate / residual) / np.log(beta))) + 10
+    it = 1
+    while residual > tol:
+        if it >= max_iter:
+            raise MaxIterExceeded(
+                f"{what} residual {residual:.3e} above tol {tol:.1e} after {it} sweeps",
+                residual=residual,
+                iterations=it,
+            )
+        corrected = beta > 0.0 and float(np.max(d_max - d_min)) <= span_gate
+        x = x_next + beta / (1.0 - beta) * 0.5 * (d_max + d_min) if corrected else x_next
+        x_next = sweep(x)
+        it += 1
+        d_max, d_min, residual = _step_spans(x_next, x)
+        if corrected and residual <= tol:
+            return x, it, residual
+    return x_next, it, residual
+
+
 class BellmanSolver:
     """Precomputed sweep structure for one (model dynamics, grid) pair.
 
     For every (z, node, a) the reachable successors z' are enumerated once,
     together with their observation probabilities and the interpolation
-    indices/weights of the updated beliefs. A sweep is then a single gather
-    over the flattened soft-value table. Successors with observation
-    probability below the floor are dropped.
+    indices/weights of the updated beliefs (flat_idx, weights). Successors
+    with observation probability below the floor are dropped. The rows are
+    then assembled into one sparse matrix discount * W over the flattened
+    (z', node) axis, so a sweep is a single sparse product.
     """
 
     def __init__(self, model: PomdpModel, grid: BeliefGrid):
@@ -122,6 +176,14 @@ class BellmanSolver:
                     weights[z, :, a, k * n_s:(k + 1) * n_s] = w
         self.flat_idx = flat_idx
         self.weights = weights
+        n_rows = n_z * g * n_a
+        successors = sparse.csr_matrix(
+            (model.discount * weights.ravel(), flat_idx.ravel(), np.arange(0, n_rows * width + 1, width)),
+            shape=(n_rows, n_z * g),
+        )
+        successors.sum_duplicates()
+        successors.eliminate_zeros()
+        self.successors = successors
         self.node_rewards = self.expected_rewards(model.reward)
 
     def expected_rewards(self, reward: np.ndarray) -> np.ndarray:
@@ -130,16 +192,19 @@ class BellmanSolver:
         return np.einsum("azs,gs->zga", np.asarray(reward, dtype=np.float64), self.grid.nodes)
 
     def soft_values(self, qvalues: np.ndarray) -> np.ndarray:
-        return self.model.euler_gamma + logsumexp(qvalues, axis=-1)
+        # Max-shifted log-sum-exp over per-action slices: a numpy reduction
+        # over the short trailing action axis costs ten times more.
+        actions = np.moveaxis(qvalues, -1, 0)
+        top = functools.reduce(np.maximum, actions)
+        return self.model.euler_gamma + (np.log(sum(np.exp(qa - top) for qa in actions)) + top)
 
     def propagate(self, flat_values: np.ndarray) -> np.ndarray:
         """Expected successor value for every (z, node, a), discount applied."""
-        return self.model.discount * (self.weights * flat_values[self.flat_idx]).sum(axis=-1)
+        return (self.successors @ flat_values).reshape(self.node_rewards.shape)
 
     def propagate_stack(self, flat_stack: np.ndarray) -> np.ndarray:
-        """Vector-valued variant: flat_stack is (n_obs * n_nodes, p)."""
-        gathered = flat_stack[self.flat_idx]                  # (z, g, a, width, p)
-        return self.model.discount * np.einsum("zgaw,zgawp->zgap", self.weights, gathered)
+        """Vector-valued variant: flat_stack is (n_obs * n_nodes, p), result (z, node, a, p)."""
+        return (self.successors @ flat_stack).reshape(*self.node_rewards.shape, flat_stack.shape[-1])
 
     def apply(self, qvalues: np.ndarray, node_rewards: np.ndarray | None = None) -> np.ndarray:
         r = self.node_rewards if node_rewards is None else node_rewards
@@ -153,55 +218,21 @@ class BellmanSolver:
         max_iter: int | None = None,
         q0: np.ndarray | None = None,
     ) -> tuple[np.ndarray, int, float]:
-        """Fixed-point iteration to sup-norm residual <= tol.
+        """Span-corrected fixed-point iteration to sup-norm residual <= tol.
 
         Returns (values, sweeps, residual). Raises MaxIterExceeded when the
         cap is hit with the residual still above tolerance.
-
-        Near-constant error components are removed analytically: the operator
-        shifts constants by the discount factor, so once the span of the sweep
-        difference is small the remaining offset solves to
-        discount/(1 - discount) times its midpoint. The corrected table is
-        accepted only after a verification sweep confirms the residual.
         """
-        beta = self.model.discount
-        span_gate = tol * (1.0 - beta)
         q = np.zeros_like(self.node_rewards) if q0 is None else np.asarray(q0, dtype=np.float64)
-        q_next = self.apply(q, node_rewards)
-        d_max = float(np.max(q_next - q))
-        d_min = float(np.min(q_next - q))
-        residual = max(abs(d_max), abs(d_min))
-        if max_iter is None:
-            if residual <= tol or beta == 0.0:
-                max_iter = 2
-            else:
-                # Geometric decay reaches tol * (1 - beta) within this many sweeps.
-                max_iter = int(np.ceil(np.log(tol * (1.0 - beta) / residual) / np.log(beta))) + 10
-        it = 1
-        while residual > tol:
-            if it >= max_iter:
-                raise MaxIterExceeded(
-                    f"residual {residual:.3e} above tol {tol:.1e} after {it} sweeps",
-                    residual=residual,
-                    iterations=it,
-                )
-            if beta > 0.0 and d_max - d_min <= span_gate:
-                shift = beta / (1.0 - beta) * 0.5 * (d_max + d_min)
-                q_corr = q_next + shift
-                q_check = self.apply(q_corr, node_rewards)
-                check = float(np.max(np.abs(q_check - q_corr)))
-                it += 1
-                if check <= tol:
-                    return q_corr, it, check
-                q, q_next = q_corr, q_check
-            else:
-                q = q_next
-                q_next = self.apply(q, node_rewards)
-                it += 1
-            d_max = float(np.max(q_next - q))
-            d_min = float(np.min(q_next - q))
-            residual = max(abs(d_max), abs(d_min))
-        return q_next, it, residual
+        values, sweeps, residual = _span_corrected_iteration(
+            lambda x: self.apply(x[..., 0], node_rewards)[..., None],
+            q[..., None],
+            self.model.discount,
+            tol,
+            max_iter,
+            "Bellman",
+        )
+        return values[..., 0], sweeps, residual
 
 
 @dataclass(frozen=True, eq=False)

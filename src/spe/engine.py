@@ -132,25 +132,8 @@ def _increment_mass(increments_row: np.ndarray, n_bins: int) -> np.ndarray:
 
 def build_engine_model(params: EngineParams, discount: float = 0.95) -> PomdpModel:
     """Assemble the joint kernel and reward table for the replacement model."""
-    nz = params.n_mileage_bins
-    stay = np.array(
-        [
-            [params.persistence[0], 1.0 - params.persistence[0]],
-            [1.0 - params.persistence[1], params.persistence[1]],
-        ]
-    )
-    kernel = np.zeros((2, nz, 2, nz, 2))
-    for s in range(2):
-        usage = _increment_mass(params.increments[s], nz)
-        kernel[0, :, s, :, :] = usage[:, :, None] * stay[s][None, None, :]
-    kernel[1, :, :, 0, 0] = 1.0
-    reward = np.empty((2, nz, 2))
-    z_axis = np.arange(nz, dtype=np.float64)
-    reward[0] = -0.001 * z_axis[:, None] * params.cost_slopes[None, :]
-    reward[1] = -params.replacement_cost
-    return PomdpModel(
-        n_states=2, n_obs=nz, n_actions=2, kernel=kernel, reward=reward, discount=discount
-    )
+    family = EngineFamily(params.n_mileage_bins, discount)
+    return family.build_model(*family.params_to_theta(params))
 
 
 def _anchored_softmax(logits: np.ndarray) -> np.ndarray:

@@ -17,9 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import logsumexp, softmax
 
-from .bellman import BellmanSolver, QTable
+from .bellman import BellmanSolver, QTable, _span_corrected_iteration
 from .bellman import solve as bellman_solve
-from .errors import InvalidParams, MaxIterExceeded, ZeroObservationProbability
+from .errors import InvalidParams, ZeroObservationProbability
 from .grid import BeliefGrid
 from .model import SIGMA_FLOOR, History, PomdpModel
 
@@ -324,7 +324,9 @@ def grad_q(
 
     reward_grad[a, z, s, p] = d r(a, z, s) / d theta_p. The iteration
     g <- grad r + discount * E[sum_a' pi(a') g(a')] contracts with modulus
-    equal to the discount factor.
+    equal to the discount factor. Each sweep is one sparse product of the
+    solver's discount * W with the p policy-averaged columns, and the sweeps
+    run in the same span-corrected loop as the Bellman solve.
     """
     if solver is None:
         solver = BellmanSolver(model, qtable.grid)
@@ -333,52 +335,13 @@ def grad_q(
     rg_nodes = np.einsum("azsp,gs->zgap", reward_grad, qtable.grid.nodes)
     pis = softmax(qtable.values, axis=-1)
     g = np.zeros_like(rg_nodes) if g0 is None else np.asarray(g0, dtype=np.float64)
-    beta = model.discount
 
     def sweep(cur):
         avg = np.einsum("zga,zgap->zgp", pis, cur)
         return rg_nodes + solver.propagate_stack(avg.reshape(-1, n_p))
 
-    # Constants shift by beta per sweep (sigma and pi weights both sum to 1),
-    # so once the per-component span of the difference collapses, the residual
-    # offset has the closed form beta/(1-beta) times its midpoint. A corrected
-    # iterate is accepted only after a verification sweep.
-    span_gate = tol * (1.0 - beta)
-    g_next = sweep(g)
-    diff = g_next - g
-    d_max = diff.max(axis=(0, 1, 2))
-    d_min = diff.min(axis=(0, 1, 2))
-    residual = float(np.max(np.abs(diff)))
-    if max_iter is None:
-        if residual <= tol or beta == 0.0:
-            max_iter = 2
-        else:
-            max_iter = int(np.ceil(np.log(tol * (1.0 - beta) / residual) / np.log(beta))) + 10
-    it = 1
-    while residual > tol:
-        if it >= max_iter:
-            raise MaxIterExceeded(
-                f"gradient fixed point residual {residual:.3e} above {tol:.1e}",
-                residual=residual,
-                iterations=it,
-            )
-        if beta > 0.0 and float(np.max(d_max - d_min)) <= span_gate:
-            g_corr = g_next + beta / (1.0 - beta) * 0.5 * (d_max + d_min)
-            g_check = sweep(g_corr)
-            check = float(np.max(np.abs(g_check - g_corr)))
-            it += 1
-            if check <= tol:
-                return GradQTable(g_corr, qtable.grid, qtable.model_key)
-            g, g_next = g_corr, g_check
-        else:
-            g = g_next
-            g_next = sweep(g)
-            it += 1
-        diff = g_next - g
-        d_max = diff.max(axis=(0, 1, 2))
-        d_min = diff.min(axis=(0, 1, 2))
-        residual = float(np.max(np.abs(diff)))
-    return GradQTable(g_next, qtable.grid, qtable.model_key)
+    values, _, _ = _span_corrected_iteration(sweep, g, model.discount, tol, max_iter, "grad-Q")
+    return GradQTable(values, qtable.grid, qtable.model_key)
 
 
 def grad_log_pi(gq: GradQTable, q: QTable, z: int, x, a: int) -> np.ndarray:

@@ -193,15 +193,35 @@ def test_warm_start_accepted_fast():
 
 
 def test_span_correction_matches_plain_iteration():
-    # the accelerated solve must land on the same fixed point as brute force
-    m = random_model(seed=23, discount=0.95)
+    # the accelerated solve must land on the same fixed point as brute force;
+    # plain sweeps shrink the error by beta each, so 0.99 needs about 5x more
+    for discount, sweeps in ((0.95, 900), (0.99, 4500)):
+        m = random_model(seed=23, discount=discount)
+        grid = BeliefGrid.create(m.n_states, 9)
+        solver = BellmanSolver(m, grid)
+        res = solve(m, grid=grid, tol=1e-11)
+        q = np.zeros((m.n_obs, grid.n_nodes, m.n_actions))
+        for _ in range(sweeps):
+            q = solver.apply(q)
+        np.testing.assert_allclose(res.qtable.values, q, atol=1e-8)
+
+
+def test_sparse_operator_matches_gather():
+    # the sparse discount * W reproduces the padded gather over flat_idx/weights
+    m = random_model(seed=31, discount=0.9)
     grid = BeliefGrid.create(m.n_states, 9)
     solver = BellmanSolver(m, grid)
-    res = solve(m, grid=grid, tol=1e-11)
-    q = np.zeros((m.n_obs, grid.n_nodes, m.n_actions))
-    for _ in range(900):
-        q = solver.apply(q)
-    np.testing.assert_allclose(res.qtable.values, q, atol=1e-8)
+    rng = np.random.default_rng(2)
+    n_flat = m.n_obs * grid.n_nodes
+    v = rng.normal(size=n_flat)
+    gather = m.discount * (solver.weights * v[solver.flat_idx]).sum(axis=-1)
+    np.testing.assert_allclose(solver.propagate(v), gather, rtol=0, atol=1e-13)
+    stack = rng.normal(size=(n_flat, 3))
+    out = solver.propagate_stack(stack)
+    gather = m.discount * np.einsum("zgaw,zgawp->zgap", solver.weights, stack[solver.flat_idx])
+    np.testing.assert_allclose(out, gather, rtol=0, atol=1e-13)
+    for j in range(stack.shape[1]):
+        np.testing.assert_array_equal(out[..., j], solver.propagate(stack[:, j]))
 
 
 @settings(max_examples=25, deadline=None)

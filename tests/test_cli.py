@@ -2,10 +2,15 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import spe
 from spe import load_dataset, load_qtable, reference_params, save_params, solve
 from spe.cli import main
 from support import two_state_hand_model
@@ -72,6 +77,18 @@ def test_threads_flag_is_numerically_inert(tmp_path):
     assert run(["simulate", "--n", "4", "--t", "15", "--seed", "5", "--threads", "2",
                 "--out", b]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    # --threads can only size the BLAS pools if numpy loads after main() starts
+    env = {**os.environ, "PYTHONPATH": str(Path(spe.__file__).resolve().parents[1])}
+    code = "import sys, spe.cli; sys.exit('numpy' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+def test_every_public_name_resolves():
+    for name in spe.__all__:
+        assert getattr(spe, name) is not None, name
 
 
 def test_estimate_smoke(tiny_dataset, tmp_path, capsys):

@@ -249,6 +249,12 @@ def test_family_round_trips_params(ref_params):
     np.testing.assert_allclose(model.reward, ref_model.reward, atol=1e-12)
 
 
+def test_engine_model_bytes_frozen(ref_params):
+    # the pinned fleets, benchmarks and cold solves are built from these exact tables
+    assert build_engine_model(ref_params, 0.95).content_key() == "1cee3b26fd665da6"
+    assert build_engine_model(ref_params, 0.99).content_key() == "1ee08b1d2626a5cc"
+
+
 def test_family_reward_grad_matches_fd(ref_params):
     family = EngineFamily()
     theta1, _ = family.params_to_theta(ref_params)
