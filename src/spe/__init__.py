@@ -16,8 +16,7 @@ __version__ = "0.1.0"
 _SUBMODULES = {
     "errors": (
         "ContractionUndefined", "EstimationError", "InvalidParams", "MaxIterExceeded",
-        "NonConvergence", "NonFiniteObjective", "ParseError", "SchemaError",
-        "ZeroObservationProbability",
+        "NonFiniteObjective", "ParseError", "SchemaError", "ZeroObservationProbability",
     ),
     "model": (
         "EULER_GAMMA", "Belief", "History", "PomdpModel", "apply_lambda_M",

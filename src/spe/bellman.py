@@ -76,6 +76,17 @@ def qtable_bound(model: PomdpModel) -> float:
     ) + 1.0
 
 
+def _logsumexp_actions(values: np.ndarray) -> np.ndarray:
+    """Max-shifted log-sum-exp over the trailing action axis.
+
+    Sums over per-action slices: a numpy or scipy reduction over the short
+    trailing axis costs about ten times more.
+    """
+    actions = np.moveaxis(values, -1, 0)
+    top = functools.reduce(np.maximum, actions)
+    return np.log(sum(np.exp(qa - top) for qa in actions)) + top
+
+
 def _step_spans(x_next: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     """Per-component max and min of a step along the trailing axis, and its sup norm."""
     p = x.shape[-1]
@@ -192,11 +203,7 @@ class BellmanSolver:
         return np.einsum("azs,gs->zga", np.asarray(reward, dtype=np.float64), self.grid.nodes)
 
     def soft_values(self, qvalues: np.ndarray) -> np.ndarray:
-        # Max-shifted log-sum-exp over per-action slices: a numpy reduction
-        # over the short trailing action axis costs ten times more.
-        actions = np.moveaxis(qvalues, -1, 0)
-        top = functools.reduce(np.maximum, actions)
-        return self.model.euler_gamma + (np.log(sum(np.exp(qa - top) for qa in actions)) + top)
+        return self.model.euler_gamma + _logsumexp_actions(qvalues)
 
     def propagate(self, flat_values: np.ndarray) -> np.ndarray:
         """Expected successor value for every (z, node, a), discount applied."""

@@ -13,6 +13,7 @@ affects wall time, never results.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -55,26 +56,12 @@ def _write_json(payload: dict, path) -> None:
         fh.write("\n")
 
 
-_CONFIG_KEYS = {
-    "grid_resolution",
-    "bellman_tol",
-    "grad_q_tol",
-    "grad_norm_tol",
-    "step_size",
-    "max_stage2_iters",
-    "stage1_max_iters",
-    "theta1_init",
-    "theta2_init",
-    "seed",
-}
-
-
-def _load_config_file(path) -> dict:
+def _load_config_file(path, allowed: set) -> dict:
     with open(path) as fh:
         raw = json.load(fh)
     if not isinstance(raw, dict):
         raise ValueError("config file must hold a JSON object")
-    unknown = set(raw) - _CONFIG_KEYS
+    unknown = set(raw) - allowed
     if unknown:
         raise ValueError(f"unknown config fields: {sorted(unknown)}")
     return raw
@@ -85,10 +72,10 @@ def _resolve_config(args) -> "object":
 
     merged: dict = {}
     if getattr(args, "config", None):
-        merged.update(_load_config_file(args.config))
+        allowed = {f.name for f in dataclasses.fields(EstimatorConfig)}
+        merged.update(_load_config_file(args.config, allowed))
     overrides = {
         "grid_resolution": getattr(args, "grid_resolution", None),
-        "seed": getattr(args, "seed", None),
         "step_size": getattr(args, "step_size", None),
         "grad_norm_tol": getattr(args, "grad_tol", None),
         "max_stage2_iters": getattr(args, "max_iters", None),
@@ -265,10 +252,7 @@ def cmd_sensitivity(args) -> int:
                 "m_values": result.m_values,
                 "spreads": result.spreads,
                 "n_candidates": int(result.candidates.shape[0]),
-                "config": {
-                    "grid_resolution": config.grid_resolution,
-                    "seed": config.seed,
-                },
+                "config": dataclasses.asdict(config),
             },
             args.report,
         )
@@ -346,7 +330,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_est.add_argument("--discount", type=float, default=0.95)
     p_est.add_argument("--config", help="EstimatorConfig JSON (unknown fields rejected)")
     p_est.add_argument("--grid-resolution", type=int, default=None)
-    p_est.add_argument("--seed", type=int, default=None)
     p_est.add_argument("--step-size", type=float, default=None)
     p_est.add_argument("--grad-tol", type=float, default=None)
     p_est.add_argument("--max-iters", type=int, default=None)
@@ -381,7 +364,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sens.add_argument("--discount", type=float, default=0.95)
     p_sens.add_argument("--config")
     p_sens.add_argument("--grid-resolution", type=int, default=None)
-    p_sens.add_argument("--seed", type=int, default=None)
     p_sens.add_argument("--out", required=True, help="CSV output path")
     p_sens.add_argument("--report", help="optional JSON report path")
     p_sens.set_defaults(func=cmd_sensitivity)

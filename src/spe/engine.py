@@ -7,9 +7,9 @@ increment of 0..3 bins whose distribution depends on s, and the condition
 evolves with given persistence probabilities. Replacing (a = 1) pays a fixed
 cost and resets both usage and condition.
 
-The module also carries the fully observed baseline family (no hidden state)
-used for misspecification comparisons, a simulator for synthetic datasets,
-and JSONL dataset IO.
+The module also carries the fully observed baseline family (the same model
+with a single condition) used for misspecification comparisons, a simulator
+for synthetic datasets, and JSONL dataset IO.
 
 Field data note: fits on the historical bus-fleet maintenance records that
 motivated this benchmark reached a log likelihood of about -3819 for the
@@ -130,6 +130,21 @@ def _increment_mass(increments_row: np.ndarray, n_bins: int) -> np.ndarray:
     return out
 
 
+def _engine_kernel(stay: np.ndarray, increments: np.ndarray, n_bins: int) -> np.ndarray:
+    """Joint kernel (a, z, s, z', s') from condition persistence and usage increments.
+
+    Keeping moves usage by increments[s] and the condition by stay[s];
+    replacing resets both to (0, 0).
+    """
+    n_s = stay.shape[0]
+    kernel = np.zeros((2, n_bins, n_s, n_bins, n_s))
+    for s in range(n_s):
+        usage = _increment_mass(increments[s], n_bins)
+        kernel[0, :, s, :, :] = usage[:, :, None] * stay[s][None, None, :]
+    kernel[1, :, :, 0, 0] = 1.0
+    return kernel
+
+
 def build_engine_model(params: EngineParams, discount: float = 0.95) -> PomdpModel:
     """Assemble the joint kernel and reward table for the replacement model."""
     family = EngineFamily(params.n_mileage_bins, discount)
@@ -153,22 +168,15 @@ def _logit(p: np.ndarray) -> np.ndarray:
     return np.log(p) - np.log1p(-p)
 
 
-class EngineFamily:
-    """Parametric family for the hidden-condition model.
+class _EngineBase:
+    """What both replacement families share: usage bins, discount, the reward.
 
-    Reward parameters theta1 = (slope_good, slope_bad, replacement_cost) enter
-    the reward table linearly. Dynamics parameters theta2 stack the two
-    persistence probabilities and the two increment rows:
-    (p_good, p_bad, inc_good[0..3], inc_bad[0..3]), 10 entries with each
-    increment row summing to 1. The unconstrained chart uses logits for the
-    persistences and anchored log-ratios for the increment rows (8 free
-    coordinates).
+    theta1 = (one cost slope per condition, replacement_cost) enters the
+    reward table linearly. Each family defines build_kernel on its own class,
+    so a kernel build can be timed per family.
     """
 
-    n_states = 2
     n_actions = 2
-    theta1_dim = 3
-    theta2_unconstrained_dim = 2 + 2 * (N_INCREMENTS - 1)
 
     def __init__(self, n_mileage_bins: int = 120, discount: float = 0.95):
         self.n_mileage_bins = n_mileage_bins
@@ -177,6 +185,43 @@ class EngineFamily:
     @property
     def n_obs(self) -> int:
         return self.n_mileage_bins
+
+    def default_theta1(self) -> np.ndarray:
+        return np.zeros(self.n_states + 1)
+
+    def reward_tensor(self, theta1: np.ndarray) -> np.ndarray:
+        slopes = np.asarray(theta1[:-1])
+        if slopes.shape != (self.n_states,):
+            raise InvalidParams(f"theta1 must hold {self.n_states + 1} entries")
+        reward = np.empty((2, self.n_mileage_bins, self.n_states))
+        z_axis = np.arange(self.n_mileage_bins, dtype=np.float64)
+        reward[0] = -0.001 * z_axis[:, None] * slopes[None, :]
+        reward[1] = -float(theta1[-1])
+        return reward
+
+    def build_model(self, theta1: np.ndarray, theta2: np.ndarray) -> PomdpModel:
+        return PomdpModel(
+            n_states=self.n_states,
+            n_obs=self.n_obs,
+            n_actions=self.n_actions,
+            kernel=self.build_kernel(theta2),
+            reward=self.reward_tensor(theta1),
+            discount=self.discount,
+        )
+
+
+class EngineFamily(_EngineBase):
+    """Parametric family for the hidden-condition model.
+
+    Reward parameters theta1 = (slope_good, slope_bad, replacement_cost).
+    Dynamics parameters theta2 stack the two persistence probabilities and
+    the two increment rows: (p_good, p_bad, inc_good[0..3], inc_bad[0..3]),
+    10 entries with each increment row summing to 1. The unconstrained chart
+    uses logits for the persistences and anchored log-ratios for the
+    increment rows (8 free coordinates).
+    """
+
+    n_states = 2
 
     def params_to_theta(self, params: EngineParams) -> tuple[np.ndarray, np.ndarray]:
         theta1 = np.array([params.cost_slopes[0], params.cost_slopes[1], params.replacement_cost])
@@ -191,9 +236,6 @@ class EngineFamily:
             replacement_cost=float(theta1[2]),
             n_mileage_bins=self.n_mileage_bins,
         )
-
-    def default_theta1(self) -> np.ndarray:
-        return np.zeros(self.theta1_dim)
 
     def default_theta2(self) -> np.ndarray:
         uniform = np.full(N_INCREMENTS, 1.0 / N_INCREMENTS)
@@ -217,47 +259,10 @@ class EngineFamily:
         )
 
     def build_kernel(self, theta2: np.ndarray) -> np.ndarray:
-        nz = self.n_mileage_bins
         pers = theta2[:2]
-        inc = np.asarray(theta2[2:]).reshape(2, N_INCREMENTS)
         stay = np.array([[pers[0], 1.0 - pers[0]], [1.0 - pers[1], pers[1]]])
-        kernel = np.zeros((2, nz, 2, nz, 2))
-        for s in range(2):
-            usage = _increment_mass(inc[s], nz)
-            kernel[0, :, s, :, :] = usage[:, :, None] * stay[s][None, None, :]
-        kernel[1, :, :, 0, 0] = 1.0
-        return kernel
-
-    def reward_tensor(self, theta1: np.ndarray) -> np.ndarray:
-        nz = self.n_mileage_bins
-        reward = np.empty((2, nz, 2))
-        z_axis = np.arange(nz, dtype=np.float64)
-        reward[0] = -0.001 * z_axis[:, None] * np.asarray(theta1[:2])[None, :]
-        reward[1] = -float(theta1[2])
-        return reward
-
-    def reward_grad(self, theta1: np.ndarray) -> np.ndarray:
-        nz = self.n_mileage_bins
-        grad = np.zeros((2, nz, 2, self.theta1_dim))
-        z_axis = np.arange(nz, dtype=np.float64)
-        grad[0, :, 0, 0] = -0.001 * z_axis
-        grad[0, :, 1, 1] = -0.001 * z_axis
-        grad[1, :, :, 2] = -1.0
-        return grad
-
-    def reward_bounds(self) -> tuple[float, float]:
-        """Sup-norm bounds on the reward gradient and Hessian in theta1."""
-        return max(1.0, 0.001 * (self.n_mileage_bins - 1)), 0.0
-
-    def build_model(self, theta1: np.ndarray, theta2: np.ndarray) -> PomdpModel:
-        return PomdpModel(
-            n_states=self.n_states,
-            n_obs=self.n_obs,
-            n_actions=self.n_actions,
-            kernel=self.build_kernel(theta2),
-            reward=self.reward_tensor(theta1),
-            discount=self.discount,
-        )
+        increments = np.asarray(theta2[2:]).reshape(2, N_INCREMENTS)
+        return _engine_kernel(stay, increments, self.n_mileage_bins)
 
     def describe(self, theta1: np.ndarray, theta2: np.ndarray) -> dict:
         return {
@@ -271,28 +276,14 @@ class EngineFamily:
         }
 
 
-class MdpEngineFamily:
-    """Fully observed baseline: one latent state, usage dynamics only.
+class MdpEngineFamily(_EngineBase):
+    """Fully observed baseline: the engine model with a single condition.
 
     theta1 = (cost_slope, replacement_cost); theta2 is the single increment
     distribution (4 entries summing to 1).
     """
 
     n_states = 1
-    n_actions = 2
-    theta1_dim = 2
-    theta2_unconstrained_dim = N_INCREMENTS - 1
-
-    def __init__(self, n_mileage_bins: int = 120, discount: float = 0.95):
-        self.n_mileage_bins = n_mileage_bins
-        self.discount = discount
-
-    @property
-    def n_obs(self) -> int:
-        return self.n_mileage_bins
-
-    def default_theta1(self) -> np.ndarray:
-        return np.zeros(self.theta1_dim)
 
     def default_theta2(self) -> np.ndarray:
         return np.full(N_INCREMENTS, 1.0 / N_INCREMENTS)
@@ -304,39 +295,8 @@ class MdpEngineFamily:
         return _anchored_softmax(np.asarray(u, dtype=np.float64))
 
     def build_kernel(self, theta2: np.ndarray) -> np.ndarray:
-        nz = self.n_mileage_bins
-        usage = _increment_mass(np.asarray(theta2), nz)
-        kernel = np.zeros((2, nz, 1, nz, 1))
-        kernel[0, :, 0, :, 0] = usage
-        kernel[1, :, 0, 0, 0] = 1.0
-        return kernel
-
-    def reward_tensor(self, theta1: np.ndarray) -> np.ndarray:
-        nz = self.n_mileage_bins
-        reward = np.empty((2, nz, 1))
-        reward[0, :, 0] = -0.001 * float(theta1[0]) * np.arange(nz)
-        reward[1, :, 0] = -float(theta1[1])
-        return reward
-
-    def reward_grad(self, theta1: np.ndarray) -> np.ndarray:
-        nz = self.n_mileage_bins
-        grad = np.zeros((2, nz, 1, self.theta1_dim))
-        grad[0, :, 0, 0] = -0.001 * np.arange(nz)
-        grad[1, :, 0, 1] = -1.0
-        return grad
-
-    def reward_bounds(self) -> tuple[float, float]:
-        return max(1.0, 0.001 * (self.n_mileage_bins - 1)), 0.0
-
-    def build_model(self, theta1: np.ndarray, theta2: np.ndarray) -> PomdpModel:
-        return PomdpModel(
-            n_states=1,
-            n_obs=self.n_obs,
-            n_actions=2,
-            kernel=self.build_kernel(theta2),
-            reward=self.reward_tensor(theta1),
-            discount=self.discount,
-        )
+        increments = np.asarray(theta2)[None, :]
+        return _engine_kernel(np.ones((1, 1)), increments, self.n_mileage_bins)
 
     def describe(self, theta1: np.ndarray, theta2: np.ndarray) -> dict:
         return {

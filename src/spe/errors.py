@@ -30,10 +30,6 @@ class MaxIterExceeded(EstimationError):
         self.iterations = iterations
 
 
-class NonConvergence(EstimationError):
-    """An optimizer stopped with a gradient norm above tolerance."""
-
-
 class NonFiniteObjective(EstimationError):
     """The objective became non-finite at an iterate reached by the optimizer."""
 

@@ -7,15 +7,23 @@ beliefs at the stage-one estimate and climbs the resulting pseudo-likelihood
 in the reward parameters by gradient ascent, with the gradient assembled from
 the solved Q table and its parameter derivative.
 
-A family object supplies the parameterization: build_kernel / reward_tensor /
-reward_grad / reward_bounds, the unconstrained chart for the dynamics, and
-defaults (see spe.engine for the two shipped families).
+A family object supplies the parameterization (see spe.engine for the two
+shipped families):
+
+- n_states and discount;
+- build_kernel(theta2), the joint kernel (a, z, s, z', s');
+- reward_tensor(theta1), the reward table (a, z, s), which must be affine
+  in theta1: stage two reads its gradient table off reward_tensor once;
+- build_model(theta1, theta2) and default_theta1(), which sizes theta1;
+- the dynamics chart default_theta2 / theta2_to_unconstrained /
+  theta2_from_unconstrained;
+- describe(theta1, theta2), the labelled estimate for the report.
 """
 from __future__ import annotations
 
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy.optimize import minimize
@@ -47,7 +55,7 @@ class EstimatorConfig:
     min(1e-2, 1/L) and doubled after each accepted step; a float runs plain
     fixed-step ascent (with a warning when it exceeds the guaranteed stable
     range). grad_norm_tol applies to the gradient norm scaled by the total
-    number of decisions. seed is reserved; both stages are deterministic.
+    number of decisions. Both stages are deterministic.
     """
 
     grid_resolution: int = 101
@@ -59,7 +67,6 @@ class EstimatorConfig:
     stage1_max_iters: int = 300
     theta1_init: tuple | None = None
     theta2_init: tuple | None = None
-    seed: int = 0
 
     def __post_init__(self):
         if not (self.grad_norm_tol > 0.0):
@@ -133,16 +140,7 @@ class EstimateReport:
                 "n_iters": self.stage2.n_iters,
                 "diagnostics": self.stage2.diagnostics,
             },
-            "config": {
-                "grid_resolution": self.config.grid_resolution,
-                "bellman_tol": self.config.bellman_tol,
-                "grad_q_tol": self.config.grad_q_tol,
-                "grad_norm_tol": self.config.grad_norm_tol,
-                "step_size": self.config.step_size,
-                "max_stage2_iters": self.config.max_stage2_iters,
-                "stage1_max_iters": self.config.stage1_max_iters,
-                "seed": self.config.seed,
-            },
+            "config": asdict(self.config),
             "diagnostics": self.diagnostics,
         }
 
@@ -238,10 +236,15 @@ def stage2_policy_gradient(
     points = ChoicePoints.from_filtered(grid, histories, filtered)
     n_steps = max(points.n_steps, 1)
 
-    grad_bound, hess_bound = family.reward_bounds()
+    # The reward is affine in theta1, so its gradient is a constant table
+    # whose column p is r(e_p) - r(0), and its Hessian bound is zero.
+    r_zero = family.reward_tensor(np.zeros_like(theta1))
+    reward_grad = np.stack(
+        [family.reward_tensor(e_p) - r_zero for e_p in np.eye(theta1.size)], axis=-1
+    )
     # Lipschitz constant of the pseudo-likelihood gradient: one decision
     # contributes the Q and soft-value Hessian bounds, so scale by the count.
-    unit = smoothness_constants(grad_bound, hess_bound, family.discount, 1, 1)
+    unit = smoothness_constants(float(np.max(np.abs(reward_grad))), 0.0, family.discount, 1, 1)
     lipschitz = unit.grad_lipschitz * points.n_steps
     fixed_step = config.step_size
     if fixed_step is not None and lipschitz > 0.0 and fixed_step >= 2.0 / lipschitz:
@@ -281,7 +284,7 @@ def stage2_policy_gradient(
         qtable = QTable(q_cur, grid, key, model.euler_gamma)
         gtable = grad_q(
             model,
-            family.reward_grad(theta1),
+            reward_grad,
             qtable,
             tol=config.grad_q_tol,
             solver=solver,
@@ -353,19 +356,12 @@ def stage2_policy_gradient(
     )
 
 
-def estimate(histories, family, config: EstimatorConfig | None = None) -> EstimateReport:
-    """Two-stage fit; deterministic for a given dataset and configuration."""
-    if config is None:
-        config = EstimatorConfig()
-    start = time.perf_counter()
-    stage1 = stage1_fit_theta2(histories, family, config)
-    stage2 = stage2_policy_gradient(
-        histories, family, stage1.theta2, config, stage1.filtered
-    )
+def _fit_rewards(histories, family, stage1: Stage1Result, config, start, **diagnostics):
+    """Stage two at the stage-one dynamics, the final log likelihood, the report."""
+    stage2 = stage2_policy_gradient(histories, family, stage1.theta2, config, stage1.filtered)
     grid = BeliefGrid.create(family.n_states, config.grid_resolution)
     final_model = family.build_model(stage2.theta1, stage1.theta2)
     loglik = log_likelihood(final_model, histories, grid=grid, tol=config.bellman_tol)
-    elapsed = time.perf_counter() - start
     return EstimateReport(
         theta1=stage2.theta1,
         theta2=stage1.theta2,
@@ -374,11 +370,17 @@ def estimate(histories, family, config: EstimatorConfig | None = None) -> Estima
         stage1=stage1,
         stage2=stage2,
         config=config,
-        diagnostics={
-            "runtime_seconds": elapsed,
-            "stage2_grad_lipschitz": stage2.diagnostics.get("grad_lipschitz"),
-        },
+        diagnostics={"runtime_seconds": time.perf_counter() - start, **diagnostics},
     )
+
+
+def estimate(histories, family, config: EstimatorConfig | None = None) -> EstimateReport:
+    """Two-stage fit; deterministic for a given dataset and configuration."""
+    if config is None:
+        config = EstimatorConfig()
+    start = time.perf_counter()
+    stage1 = stage1_fit_theta2(histories, family, config)
+    return _fit_rewards(histories, family, stage1, config, start)
 
 
 def empirical_increments(histories, n_bins: int, n_increments: int = 4) -> np.ndarray:
@@ -426,32 +428,16 @@ def fit_mdp_baseline(
     theta2 = empirical_increments(histories, n_mileage_bins)
     # Histories carry two-state initial beliefs; the baseline ignores them.
     flat = [History(Belief(np.ones(1)), h.obs, h.acts) for h in histories]
-    model_hat2 = family.build_model(family.default_theta1(), theta2)
-    blocks = DatasetBlocks.from_histories(flat, model_hat2)
-    obs_ll = observation_loglik(model_hat2.kernel, blocks)
-    filtered = filter_dataset(model_hat2, flat)
+    filtered = filter_dataset(family.build_model(family.default_theta1(), theta2), flat)
+    obs_ll = float(sum(np.log(f.sigmas).sum() for f in filtered))
     stage1 = Stage1Result(
         theta2=theta2,
         unconstrained=family.theta2_to_unconstrained(theta2),
-        obs_loglik=float(obs_ll),
-        trace=[float(obs_ll)],
+        obs_loglik=obs_ll,
+        trace=[obs_ll],
         converged=True,
         n_evals=1,
         message="closed form: empirical increment frequencies",
         filtered=filtered,
     )
-    stage2 = stage2_policy_gradient(flat, family, theta2, config, filtered)
-    grid = BeliefGrid.create(1, config.grid_resolution)
-    final_model = family.build_model(stage2.theta1, theta2)
-    loglik = log_likelihood(final_model, flat, grid=grid, tol=config.bellman_tol)
-    elapsed = time.perf_counter() - start
-    return EstimateReport(
-        theta1=stage2.theta1,
-        theta2=theta2,
-        labeled=family.describe(stage2.theta1, theta2),
-        loglik=loglik,
-        stage1=stage1,
-        stage2=stage2,
-        config=config,
-        diagnostics={"runtime_seconds": elapsed, "baseline": "fully observed"},
-    )
+    return _fit_rewards(flat, family, stage1, config, start, baseline="fully observed")

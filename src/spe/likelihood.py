@@ -15,9 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp, softmax
+from scipy.special import softmax
 
-from .bellman import BellmanSolver, QTable, _span_corrected_iteration
+from .bellman import BellmanSolver, QTable, _logsumexp_actions, _span_corrected_iteration
 from .bellman import solve as bellman_solve
 from .errors import InvalidParams, ZeroObservationProbability
 from .grid import BeliefGrid
@@ -241,7 +241,7 @@ class ChoicePoints:
         if self.n_steps == 0:
             return 0.0
         rows = self.q_rows(qvalues)
-        lse = logsumexp(rows, axis=1)
+        lse = _logsumexp_actions(rows)
         picked = rows[np.arange(rows.shape[0]), self.actions]
         return float((picked - lse).sum())
 
@@ -250,8 +250,8 @@ class ChoicePoints:
         if self.n_steps == 0:
             return 0.0, np.zeros(gvalues.shape[-1])
         rows = self.q_rows(qvalues)
-        lse = logsumexp(rows, axis=1)
-        rows_pi = softmax(rows, axis=1)
+        lse = _logsumexp_actions(rows)
+        rows_pi = np.exp(rows - lse[:, None])
         m = rows.shape[0]
         picked = rows[np.arange(m), self.actions]
         gflat = gvalues.reshape(-1, gvalues.shape[-2], gvalues.shape[-1])
@@ -333,7 +333,7 @@ def grad_q(
     reward_grad = np.asarray(reward_grad, dtype=np.float64)
     n_p = reward_grad.shape[-1]
     rg_nodes = np.einsum("azsp,gs->zgap", reward_grad, qtable.grid.nodes)
-    pis = softmax(qtable.values, axis=-1)
+    pis = np.exp(qtable.values - _logsumexp_actions(qtable.values)[..., None])
     g = np.zeros_like(rg_nodes) if g0 is None else np.asarray(g0, dtype=np.float64)
 
     def sweep(cur):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import logsumexp, softmax
 
 from spe import (
     EULER_GAMMA,
@@ -21,7 +22,7 @@ from spe import (
     soft_value,
     solve,
 )
-from spe.bellman import BellmanSolver
+from spe.bellman import BellmanSolver, _logsumexp_actions
 from support import random_model
 
 
@@ -45,6 +46,19 @@ def test_soft_value_hand_numbers():
     np.testing.assert_allclose(ccp(q3, 0, x), [0.75, 0.25], atol=1e-12)
     u = ccp(q, 0, x)
     np.testing.assert_allclose(u, [0.5, 0.5], atol=1e-12)
+    # the sweep's log-sum-exp over the action axis, at the edge of exp's range
+    # and on tied rows, against scipy
+    rows = np.array(
+        [[700.0, 699.5], [-700.0, -701.0], [-700.0, 700.0], [700.0, 700.0],
+         [-700.0, -700.0], [3.0, 3.0], [0.0, 0.0], [1e-300, -1e-300]]
+    )
+    three_actions = np.stack([rows[:, 0], rows[:, 1], rows[:, 0]], axis=-1)
+    for values in (rows, rows.reshape(2, 4, 2), three_actions):
+        lse = _logsumexp_actions(values)
+        np.testing.assert_allclose(lse, logsumexp(values, axis=-1), rtol=1e-13, atol=1e-13)
+        np.testing.assert_allclose(
+            np.exp(values - lse[..., None]), softmax(values, axis=-1), rtol=1e-13, atol=1e-13
+        )
 
 
 def test_ccp_ratio_identity():

@@ -147,7 +147,7 @@ def test_estimate_malformed_data(tmp_path, capsys):
 
 def test_config_file_merging(tiny_dataset, tmp_path):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"grid_resolution": 31, "seed": 9}))
+    cfg.write_text(json.dumps({"grid_resolution": 31}))
     report = tmp_path / "sweep.json"
     csv_path = tmp_path / "sweep.csv"
     rc = run(
@@ -157,7 +157,20 @@ def test_config_file_merging(tiny_dataset, tmp_path):
     assert rc == 0
     payload = json.loads(report.read_text())
     assert payload["config"]["grid_resolution"] == 31
-    assert payload["config"]["seed"] == 9
+
+
+def test_report_embeds_the_whole_config(tiny_dataset, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"grid_resolution": 31, "theta1_init": [0.5, 1.0, 8.0]}))
+    report_path = tmp_path / "report.json"
+    rc = run(["estimate", "--data", tiny_dataset, "--config", cfg, "--out", report_path,
+              "--grad-tol", "5e-2", "--max-iters", "5"])
+    assert rc in (0, 1)    # 1 only flags an iteration cap; the report is written
+    config = json.loads(report_path.read_text())["report"]["config"]
+    assert config["theta1_init"] == [0.5, 1.0, 8.0]
+    assert config["theta2_init"] is None
+    assert config["max_stage2_iters"] == 5
+    assert set(config) == {f.name for f in dataclasses.fields(spe.EstimatorConfig)}
 
 
 def test_config_file_rejects_unknown_field(tiny_dataset, tmp_path, capsys):

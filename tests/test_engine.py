@@ -255,34 +255,40 @@ def test_engine_model_bytes_frozen(ref_params):
     assert build_engine_model(ref_params, 0.99).content_key() == "1ee08b1d2626a5cc"
 
 
-def test_family_reward_grad_matches_fd(ref_params):
-    family = EngineFamily()
-    theta1, _ = family.params_to_theta(ref_params)
-    grad = family.reward_grad(theta1)
-    h = 1e-6
-    for p in range(3):
-        step = np.zeros(3)
-        step[p] = h
-        fd = (family.reward_tensor(theta1 + step) - family.reward_tensor(theta1 - step)) / (
-            2.0 * h
-        )
-        np.testing.assert_allclose(grad[:, :, :, p], fd, atol=1e-9)
+@pytest.mark.parametrize("family", [EngineFamily(), MdpEngineFamily()], ids=type)
+def test_reward_tensor_is_affine_in_theta1(family):
+    # stage 2 reads the reward gradient off r(e_p) - r(0), which is exact
+    # only for a reward table affine in theta1
+    rng = np.random.default_rng(3)
+    dim = family.default_theta1().size
+    r0 = family.reward_tensor(np.zeros(dim))
+    table = np.stack([family.reward_tensor(e) - r0 for e in np.eye(dim)], axis=-1)
+    for _ in range(5):
+        theta1 = rng.normal(scale=5.0, size=dim)
+        np.testing.assert_allclose(family.reward_tensor(theta1), r0 + table @ theta1, atol=1e-12)
+    # a theta1 of the other family's length must not broadcast into a table
+    for wrong in (dim - 1, dim + 1):
+        with pytest.raises(InvalidParams):
+            family.reward_tensor(np.zeros(wrong))
 
 
 def test_mdp_family_shapes():
     family = MdpEngineFamily()
     assert family.n_states == 1
-    t1, t2 = family.default_theta1(), family.default_theta2()
-    model = family.build_model(t1, t2)
+    model = family.build_model(family.default_theta1(), family.default_theta2())
     assert model.n_states == 1 and model.n_actions == 2
     np.testing.assert_allclose(model.kernel.sum(axis=(3, 4)), 1.0, atol=1e-12)
-    grad = family.reward_grad(t1)
-    h = 1e-6
-    for p in range(t1.size):
-        step = np.zeros(t1.size)
-        step[p] = h
-        fd = (family.reward_tensor(t1 + step) - family.reward_tensor(t1 - step)) / (2.0 * h)
-        np.testing.assert_allclose(grad[:, :, :, p], fd, atol=1e-9)
+
+
+def test_mdp_kernel_is_hidden_kernel_with_equal_rows():
+    # with both increment rows equal, usage no longer depends on the hidden
+    # condition: summing out the next condition leaves the baseline kernel
+    q = np.array([0.1, 0.5, 0.3, 0.1])
+    mdp = MdpEngineFamily(30).build_kernel(q)
+    hidden = EngineFamily(30).build_kernel(np.concatenate([[0.9, 0.7], q, q]))
+    marginal = hidden.sum(axis=4)
+    for s in range(2):
+        np.testing.assert_allclose(marginal[:, :, s, :], mdp[:, :, 0, :, 0], atol=1e-15)
 
 
 def test_describe_is_json_ready(ref_params):

@@ -47,12 +47,6 @@ class TwoButtonFamily:
     def reward_tensor(self, theta1):
         return np.array([[[0.0]], [[float(theta1[0])]]])
 
-    def reward_grad(self, theta1):
-        return np.array([[[[0.0]]], [[[1.0]]]])
-
-    def reward_bounds(self):
-        return 1.0, 0.0
-
     def build_kernel(self, theta2):
         return np.ones((2, 1, 1, 1, 1))
 
