@@ -25,7 +25,7 @@ from scipy.special import logsumexp, softmax
 
 from .errors import InvalidParams, MaxIterExceeded
 from .grid import BeliefGrid
-from .model import EULER_GAMMA, SIGMA_FLOOR, PomdpModel
+from .model import EULER_GAMMA, PomdpModel, bayes_posterior, reachable_blocks
 
 
 @dataclass(frozen=True, eq=False)
@@ -138,12 +138,12 @@ def _span_corrected_iteration(sweep, x: np.ndarray, beta: float, tol: float, max
 class BellmanSolver:
     """Precomputed sweep structure for one (model dynamics, grid) pair.
 
-    For every (z, node, a) the reachable successors z' are enumerated once,
-    together with their observation probabilities and the interpolation
-    indices/weights of the updated beliefs (flat_idx, weights). Successors
-    with observation probability below the floor are dropped. The rows are
-    then assembled into one sparse matrix discount * W over the flattened
-    (z', node) axis, so a sweep is a single sparse product.
+    One batched Bayes update of every grid node through every reachable
+    kernel block (z, a, z') gives the observation probabilities and the
+    interpolation indices/weights of the updated beliefs (flat_idx, weights).
+    Nodes whose observation probability is below the floor get weight 0.
+    The rows are then assembled into one sparse matrix discount * W over the
+    flattened (z', node) axis, so a sweep is a single sparse product.
     """
 
     def __init__(self, model: PomdpModel, grid: BeliefGrid):
@@ -152,41 +152,23 @@ class BellmanSolver:
         self.model = model
         self.grid = grid
         n_z, n_a, n_s = model.n_obs, model.n_actions, model.n_states
-        nodes = grid.nodes
         g = grid.n_nodes
 
-        per_az: list[list[tuple[np.ndarray, np.ndarray]]] = []
-        k_max = 1
-        for z in range(n_z):
-            row = []
-            for a in range(n_a):
-                entries = []
-                for z2 in range(n_z):
-                    numer = nodes @ model.kernel[a, z, :, z2, :]      # (g, s)
-                    sig = numer.sum(axis=1)
-                    live = sig >= SIGMA_FLOOR
-                    if not np.any(live):
-                        continue
-                    lam = np.where(live[:, None], numer / np.where(live, sig, 1.0)[:, None], 1.0 / n_s)
-                    lam = np.maximum(lam, 0.0)
-                    lam /= lam.sum(axis=1, keepdims=True)
-                    idx, w = grid.interpolate_many(lam)               # (g, n_s) each
-                    w = np.where(live[:, None], w * sig[:, None], 0.0)
-                    entries.append((z2 * g + idx, w))
-                row.append(entries)
-                k_max = max(k_max, len(entries))
-            per_az.append(row)
-
+        z, a, z2 = reachable_blocks(model)
+        lam, sig, live = bayes_posterior(grid.nodes @ model.kernel[a, z, :, z2, :])  # (blocks, g, s)
+        idx, w = grid.interpolate_many(lam.reshape(-1, n_s))
+        w = np.where(live.reshape(-1, 1), w * sig.reshape(-1, 1), 0.0)
+        # A block's slot is its rank among the blocks of its (z, a).
+        za = z * n_a + a
+        slot = np.arange(za.size) - np.searchsorted(za, za)
+        k_max = int(slot.max()) + 1
         width = k_max * n_s
-        flat_idx = np.zeros((n_z, g, n_a, width), dtype=np.int64)
-        weights = np.zeros((n_z, g, n_a, width))
-        for z in range(n_z):
-            for a in range(n_a):
-                for k, (idx, w) in enumerate(per_az[z][a]):
-                    flat_idx[z, :, a, k * n_s:(k + 1) * n_s] = idx
-                    weights[z, :, a, k * n_s:(k + 1) * n_s] = w
-        self.flat_idx = flat_idx
-        self.weights = weights
+        flat_idx = np.zeros((n_z, g, n_a, k_max, n_s), dtype=np.int64)
+        weights = np.zeros((n_z, g, n_a, k_max, n_s))
+        flat_idx[z, :, a, slot, :] = z2[:, None, None] * g + idx.reshape(-1, g, n_s)
+        weights[z, :, a, slot, :] = w.reshape(-1, g, n_s)
+        self.flat_idx = flat_idx.reshape(n_z, g, n_a, width)
+        self.weights = weights.reshape(n_z, g, n_a, width)
         n_rows = n_z * g * n_a
         successors = sparse.csr_matrix(
             (model.discount * weights.ravel(), flat_idx.ravel(), np.arange(0, n_rows * width + 1, width)),

@@ -27,7 +27,7 @@ from scipy.special import expit, softmax
 
 from .bellman import BeliefGrid, solve as bellman_solve
 from .errors import InvalidParams, ParseError, SchemaError
-from .model import Belief, History, PomdpModel
+from .model import Belief, History, PomdpModel, bayes_posterior
 
 _ROW_TOL = 1e-9
 N_INCREMENTS = 4
@@ -415,11 +415,7 @@ def simulate(params: EngineParams, config: SimConfig) -> SimResult:
         z_next = dz[a, z, s, k]
         s_next = ds[a, z, s, k]
         trans = model.kernel[a, z, :, z_next, :]
-        numer = np.einsum("ms,mst->mt", x, trans)
-        sig = numer.sum(axis=1)
-        x = numer / sig[:, None]
-        x = np.maximum(x, 0.0)
-        x /= x.sum(axis=1, keepdims=True)
+        x, _, _ = bayes_posterior(np.einsum("ms,mst->mt", x, trans))
         acts[:, t] = a
         obs[:, t + 1] = z_next
         states[:, t + 1] = s_next

@@ -180,8 +180,8 @@ def stage1_fit_theta2(
 
     trace: list[float] = []
 
-    def record(uk):
-        trace.append(-negative_obs(uk))
+    def record(intermediate_result):
+        trace.append(-float(intermediate_result.fun))
 
     if u0 is None:
         u0 = family.theta2_to_unconstrained(theta2_0)

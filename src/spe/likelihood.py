@@ -21,7 +21,7 @@ from .bellman import BellmanSolver, QTable, _logsumexp_actions, _span_corrected_
 from .bellman import solve as bellman_solve
 from .errors import InvalidParams, ZeroObservationProbability
 from .grid import BeliefGrid
-from .model import SIGMA_FLOOR, History, PomdpModel
+from .model import History, PomdpModel, bayes_posterior
 
 PRIOR_TERM = 0.0  # initial beliefs are treated as data, not parameters
 
@@ -103,27 +103,18 @@ def _scan_block(
     if store:
         beliefs[:, 0, :] = x
     total = 0.0
-    rows = np.arange(b)
     for t in range(horizon):
         trans = kernel[acts[:, t], obs[:, t], :, obs[:, t + 1], :]   # (b, s, s')
-        numer = np.einsum("bs,bst->bt", x, trans)
-        sig = numer.sum(axis=1)
-        live = sig >= SIGMA_FLOOR
-        if not np.all(live):
-            if not penalize:
-                bad = int(rows[~live][0])
-                raise ZeroObservationProbability(
-                    f"history {int(idx[bad])}: observation z={int(obs[bad, t + 1])} has "
-                    f"probability 0 at step {t}",
-                    step=t,
-                )
-            sig = np.where(live, sig, SIGMA_FLOOR)
-            numer = np.where(live[:, None], numer, 1.0 / n_s)
+        x, sig, live = bayes_posterior(np.einsum("bs,bst->bt", x, trans))
+        if not penalize and not np.all(live):
+            bad = int(np.flatnonzero(~live)[0])
+            raise ZeroObservationProbability(
+                f"history {int(idx[bad])}: observation z={int(obs[bad, t + 1])} has "
+                f"probability 0 at step {t}",
+                step=t,
+            )
         if t >= burn_in:
             total += float(np.log(sig).sum())
-        x = numer / sig[:, None]
-        x = np.maximum(x, 0.0)
-        x /= x.sum(axis=1, keepdims=True)
         if store:
             sigmas[:, t] = sig
             if t + 1 < horizon:

@@ -176,6 +176,34 @@ def lambda_update(model: PomdpModel, z_next: int, z: int, x, a: int) -> Belief:
     return Belief(out / out.sum())
 
 
+def bayes_posterior(numer: np.ndarray):
+    """Batched Bayes rule on unnormalized posteriors numer[..., s'].
+
+    Returns (beliefs, sigma, live): sigma is the row mass floored at
+    SIGMA_FLOOR, live marks rows whose mass reaches the floor, and dead rows
+    get the uniform belief. Beliefs are clamped at 0 and renormalized.
+    """
+    sig = numer.sum(axis=-1)
+    live = sig >= SIGMA_FLOOR
+    if np.all(live):
+        x = numer / sig[..., None]
+    else:
+        sig = np.where(live, sig, SIGMA_FLOOR)
+        x = np.where(live[..., None], numer / sig[..., None], 1.0 / numer.shape[-1])
+    x = np.maximum(x, 0.0)
+    x /= x.sum(axis=-1, keepdims=True)
+    return x, sig, live
+
+
+def reachable_blocks(model: PomdpModel):
+    """(z, a, z') index arrays of the kernel blocks some hidden state reaches.
+
+    Ordered by z, then a, then z'.
+    """
+    mass = model.kernel.sum(axis=-1)                  # (a, z, s, z')
+    return np.nonzero((mass >= SIGMA_FLOOR).any(axis=2).transpose(1, 0, 2))
+
+
 def expected_reward(model: PomdpModel, z: int, x, a: int) -> float:
     """Belief-averaged flow reward: sum_s x(s) r(a, z, s)."""
     xs = _belief_array(x)

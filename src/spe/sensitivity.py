@@ -18,6 +18,7 @@ from .errors import ContractionUndefined, InvalidParams
 from .estimator import EstimatorConfig, stage1_fit_theta2, stage2_policy_gradient
 from .likelihood import filter_dataset
 from .model import Belief, History, PomdpModel, SIGMA_FLOOR, lambda_update
+from .model import bayes_posterior, reachable_blocks
 
 
 def belief_metric(x, x_other) -> float:
@@ -64,13 +65,8 @@ def contraction_coefficient(model: PomdpModel, z_next: int, z: int, a: int) -> f
 def eta_table(model: PomdpModel) -> np.ndarray:
     """Contraction coefficients for all (z', z, a); NaN where undefined."""
     out = np.full((model.n_obs, model.n_obs, model.n_actions), np.nan)
-    for a in range(model.n_actions):
-        for z in range(model.n_obs):
-            for z2 in range(model.n_obs):
-                try:
-                    out[z2, z, a] = contraction_coefficient(model, z2, z, a)
-                except ContractionUndefined:
-                    continue
+    for z, a, z2 in zip(*reachable_blocks(model)):
+        out[z2, z, a] = contraction_coefficient(model, z2, z, a)
     return out
 
 
@@ -184,23 +180,13 @@ def contraction_certificate(
     max_excess = float("-inf")
     for a in range(model.n_actions):
         for z in range(model.n_obs):
-            x1 = rng.dirichlet(np.ones(model.n_states), size=n_pairs)
-            x2 = rng.dirichlet(np.ones(model.n_states), size=n_pairs)
-            for z2 in range(model.n_obs):
-                eta = etas[z2, z, a]
-                if not np.isfinite(eta):
-                    continue
-                block = model.kernel[a, z, :, z2, :]
-                num1 = x1 @ block
-                num2 = x2 @ block
-                s1 = num1.sum(axis=1)
-                s2 = num2.sum(axis=1)
-                live = (s1 >= SIGMA_FLOOR) & (s2 >= SIGMA_FLOOR)
+            pairs = rng.dirichlet(np.ones(model.n_states), size=(2, n_pairs))
+            for z2 in np.flatnonzero(np.isfinite(etas[:, z, a])):
+                (y1, y2), _, live = bayes_posterior(pairs @ model.kernel[a, z, :, z2, :])
+                live = live.all(axis=0)
                 if not np.any(live):
                     continue
-                y1 = num1[live] / s1[live, None]
-                y2 = num2[live] / s2[live, None]
-                excess = _metric_rows(y1, y2) - eta - slack
+                excess = _metric_rows(y1[live], y2[live]) - etas[z2, z, a] - slack
                 n_checked += int(excess.size)
                 n_violations += int(np.count_nonzero(excess > 0.0))
                 max_excess = max(max_excess, float(excess.max()))

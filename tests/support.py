@@ -25,6 +25,22 @@ def random_model(
     return PomdpModel(n_states, n_obs, n_actions, kernel, reward, discount)
 
 
+def sparse_random_model(seed: int, n_states: int, n_obs: int = 5, n_actions: int = 2) -> PomdpModel:
+    """Random model with about half of the (a, z, s, z') masses zeroed.
+
+    Some kernel blocks (z, a, z') are then unreachable, and some are reached
+    from only one hidden state, so their posteriors are dead at some beliefs.
+    """
+    rng = np.random.default_rng(seed)
+    kernel = random_kernel(rng, n_states, n_obs, n_actions)
+    keep = rng.random((n_actions, n_obs, n_states, n_obs)) < 0.45
+    keep[..., 0] |= ~keep.any(axis=-1)
+    kernel = kernel * keep[..., None]
+    kernel /= kernel.sum(axis=(3, 4), keepdims=True)
+    reward = rng.standard_normal((n_actions, n_obs, n_states))
+    return PomdpModel(n_states, n_obs, n_actions, kernel, reward, 0.9)
+
+
 def random_belief(rng: np.random.Generator, n_states: int) -> Belief:
     return Belief(rng.dirichlet(np.ones(n_states)))
 

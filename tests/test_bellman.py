@@ -16,14 +16,17 @@ from spe import (
     bellman_apply,
     ccp,
     finite_horizon_solve,
+    lambda_update,
     load_qtable,
     qtable_bound,
     save_qtable,
+    sigma,
     soft_value,
     solve,
 )
 from spe.bellman import BellmanSolver, _logsumexp_actions
-from support import random_model
+from spe.model import SIGMA_FLOOR
+from support import random_model, sparse_random_model
 
 
 def flat_model(reward_value: float, discount: float, n_actions: int = 2) -> PomdpModel:
@@ -236,6 +239,33 @@ def test_sparse_operator_matches_gather():
     np.testing.assert_allclose(out, gather, rtol=0, atol=1e-13)
     for j in range(stack.shape[1]):
         np.testing.assert_array_equal(out[..., j], solver.propagate(stack[:, j]))
+
+
+@pytest.mark.parametrize("n_states", [1, 2, 3])
+def test_solver_rows_match_scalar_bayes_update(n_states):
+    # row (z, node, a) of W is sum_z' sigma(z' | z, node, a) times the
+    # interpolation weights of lambda(z', z, node, a), on kernels with
+    # unreachable blocks and blocks that only some nodes reach
+    m = sparse_random_model(seed=n_states, n_states=n_states)
+    n_reaching = (m.kernel.sum(axis=-1) > 0.0).sum(axis=2)     # (a, z, z')
+    assert np.any(n_reaching == 0)
+    assert n_states == 1 or np.any(n_reaching == 1)
+    grid = BeliefGrid.create(n_states, 7)
+    g = grid.n_nodes
+    solver = BellmanSolver(m, grid)
+    dense = solver.successors.toarray() / m.discount
+    for z in range(m.n_obs):
+        for node, x in enumerate(grid.nodes):
+            for a in range(m.n_actions):
+                expected = np.zeros(m.n_obs * g)
+                for z2 in range(m.n_obs):
+                    sig = sigma(m, z2, z, x, a)
+                    if sig < SIGMA_FLOOR:
+                        continue
+                    idx, w = grid.interpolate(lambda_update(m, z2, z, x, a).probs)
+                    np.add.at(expected, z2 * g + idx, sig * w)
+                row = (z * g + node) * m.n_actions + a
+                np.testing.assert_allclose(dense[row], expected, rtol=0, atol=1e-13)
 
 
 @settings(max_examples=25, deadline=None)

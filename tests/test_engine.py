@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 
 from spe import (
     Belief,
+    BeliefGrid,
     EngineFamily,
     History,
     InvalidParams,
@@ -27,6 +29,7 @@ from spe import (
     sigma,
     simulate,
 )
+from spe.bellman import BellmanSolver
 
 
 def test_reference_values_frozen(ref_params):
@@ -253,6 +256,25 @@ def test_engine_model_bytes_frozen(ref_params):
     # the pinned fleets, benchmarks and cold solves are built from these exact tables
     assert build_engine_model(ref_params, 0.95).content_key() == "1cee3b26fd665da6"
     assert build_engine_model(ref_params, 0.99).content_key() == "1ee08b1d2626a5cc"
+
+
+@pytest.mark.parametrize(
+    "discount, data_sha",
+    [
+        (0.95, "1e82ba403751b83b50b2a69c5dc80c77983972b69d61cb65f37f73c96cfcc02b"),
+        (0.99, "9627fefa8a962fa16d0a8a991bdc891fe7574a2b8aef83f9d11150b54d374a6d"),
+    ],
+)
+def test_engine_solver_bytes_frozen(ref_params, discount, data_sha):
+    # the successor matrix behind every sweep of the pinned fits and cold solves
+    solver = BellmanSolver(build_engine_model(ref_params, discount), BeliefGrid.create(2, 101))
+    succ = solver.successors
+    digests = [hashlib.sha256(arr.tobytes()).hexdigest() for arr in (succ.data, succ.indices, succ.indptr)]
+    assert digests == [
+        data_sha,
+        "427f698a67881d760a4823a967ffe64270655bb8313f2de5f5faaa15e417b071",
+        "3da8c7f5e0d37ec32143b276b69934531d8d4d37bc902638ca0d19c6eb4a3934",
+    ]
 
 
 @pytest.mark.parametrize("family", [EngineFamily(), MdpEngineFamily()], ids=type)

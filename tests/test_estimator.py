@@ -23,6 +23,7 @@ from spe import (
     stage1_fit_theta2,
     stage2_policy_gradient,
 )
+from spe import estimator
 from spe.likelihood import DatasetBlocks
 
 
@@ -91,6 +92,25 @@ def test_stage1_can_skip_filtering(small_fleet, small_config):
         small_fleet, EngineFamily(), small_config, with_filtered=False
     )
     assert s1.filtered is None
+
+
+def test_stage1_trace_costs_no_extra_filter_pass(small_fleet, small_config, monkeypatch):
+    # the trace is read off the optimizer's own objective values, so the
+    # dataset is filtered once per objective evaluation and not again per
+    # iteration
+    passes = []
+    filter_pass = estimator.observation_loglik
+
+    def counted(*args, **kwargs):
+        passes.append(1)
+        return filter_pass(*args, **kwargs)
+
+    monkeypatch.setattr(estimator, "observation_loglik", counted)
+    s1 = stage1_fit_theta2(small_fleet, EngineFamily(), small_config, with_filtered=False)
+    assert len(passes) == s1.n_evals
+    assert len(s1.trace) >= 2 and all(type(v) is float for v in s1.trace)
+    assert s1.trace[-1] == s1.obs_loglik
+    assert np.all(np.diff(s1.trace) >= 0.0)
 
 
 def test_backtracking_ascent_is_monotone(small_report):

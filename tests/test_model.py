@@ -17,7 +17,8 @@ from spe import (
     lambda_update,
     sigma,
 )
-from support import random_belief, random_model, two_state_hand_model
+from spe.model import SIGMA_FLOOR, bayes_posterior, reachable_blocks
+from support import random_belief, random_model, sparse_random_model, two_state_hand_model
 
 sizes = st.tuples(
     st.integers(0, 2**31 - 1),
@@ -69,6 +70,32 @@ def test_lambda_zero_probability_raises():
     x = Belief(np.array([0.5, 0.5]))
     with pytest.raises(ZeroObservationProbability):
         lambda_update(m, 1, 0, x, 0)
+
+
+def test_bayes_posterior_matches_scalar_update_and_floors_dead_rows():
+    m = sparse_random_model(seed=5, n_states=3)
+    z, a, z2 = reachable_blocks(m)
+    mass = m.kernel.sum(axis=-1)[a, z, :, z2]          # (blocks, s)
+    assert np.all(mass.max(axis=1) >= SIGMA_FLOOR)
+    # every block that no hidden state reaches is left out
+    n_reachable = int((m.kernel.sum(axis=-1) > 0.0).any(axis=2).sum())
+    assert z.size == n_reachable < m.n_obs**2 * m.n_actions
+    rng = np.random.default_rng(1)
+    xs = rng.dirichlet(np.ones(3), size=4)
+    xs[0] = [0.0, 0.0, 1.0]
+    numer = np.einsum("bs,kst->kbt", xs, m.kernel[a, z, :, z2, :])
+    beliefs, sig, live = bayes_posterior(numer)
+    for k in range(z.size):
+        for b in range(xs.shape[0]):
+            s_ref = sigma(m, z2[k], z[k], xs[b], a[k])
+            if live[k, b]:
+                assert sig[k, b] == pytest.approx(s_ref, rel=1e-13)
+                ref = lambda_update(m, z2[k], z[k], xs[b], a[k]).probs
+                np.testing.assert_allclose(beliefs[k, b], ref, rtol=0, atol=1e-15)
+            else:
+                assert s_ref < SIGMA_FLOOR and sig[k, b] == SIGMA_FLOOR
+                np.testing.assert_array_equal(beliefs[k, b], np.full(3, 1.0 / 3.0))
+    assert not np.all(live)
 
 
 def test_expected_reward_engine_numbers(ref_params, engine_model):

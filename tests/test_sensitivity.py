@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -121,6 +122,16 @@ def test_contraction_certificate_dense(engine_model):
     assert rep.eta_max < 1.0
     # every defined keep transition was exercised
     assert rep.n_checked >= 200 * np.isfinite(rep.eta[:, :, 0]).sum()
+    # pinned: the same pairs are drawn and checked as before the batched posterior
+    assert (rep.n_checked, rep.n_violations) == (118_800, 0)
+
+
+def test_engine_eta_table_frozen(engine_model):
+    # the coefficients and the NaN pattern of the 594 reachable blocks
+    table = eta_table(engine_model)
+    assert np.isfinite(table).sum() == 594
+    digest = hashlib.sha256(table.tobytes()).hexdigest()
+    assert digest == "e3e59ed84a829a4a209ae4f389080f74725aed06d40f6d9e00a0764a3f89b38e"
 
 
 def test_hand_model_certificate():
