@@ -4,8 +4,8 @@ Stage one maximizes the observation term of the likelihood over the dynamics
 parameters with a quasi-Newton method on an unconstrained reparameterization,
 refiltering beliefs at every trial point. Stage two freezes the filtered
 beliefs at the stage-one estimate and climbs the resulting pseudo-likelihood
-in the reward parameters by gradient ascent, with the gradient assembled from
-the solved Q table and its parameter derivative.
+in the reward parameters by BHHH steps on the per-decision scores, which are
+assembled from the solved Q table and its parameter derivative.
 
 A family object supplies the parameterization (see spe.engine for the two
 shipped families):
@@ -51,17 +51,17 @@ STEP_FLOOR = 1e-18
 class EstimatorConfig:
     """Settings shared by both stages.
 
-    step_size None selects backtracking line search seeded at
-    min(1e-2, 1/L) and doubled after each accepted step; a float runs plain
-    fixed-step ascent (with a warning when it exceeds the guaranteed stable
-    range). grad_norm_tol applies to the gradient norm scaled by the total
-    number of decisions. Both stages are deterministic.
+    step_size None selects BHHH steps with Armijo backtracking from the
+    unit step; a float runs plain fixed-step gradient ascent (with a warning
+    when it exceeds the guaranteed stable range) and certifies stationarity.
+    grad_norm_tol applies to the gradient norm divided by the total number
+    of decisions. Both stages are deterministic.
     """
 
     grid_resolution: int = 101
     bellman_tol: float = 1e-9
     grad_q_tol: float = 1e-8
-    grad_norm_tol: float = 1e-3
+    grad_norm_tol: float = 1e-6
     step_size: float | None = None
     max_stage2_iters: int = 300
     stage1_max_iters: int = 300
@@ -222,7 +222,11 @@ def stage2_policy_gradient(
     config: EstimatorConfig,
     filtered=None,
 ) -> Stage2Result:
-    """Gradient ascent on the choice term with beliefs frozen at theta2."""
+    """Ascend the choice term in theta1 with beliefs frozen at theta2.
+
+    By default each step is BHHH along (S'S)^+ S'1 for the per-decision
+    scores S; a fixed step_size runs gradient ascent and certifies it.
+    """
     theta1 = (
         np.asarray(config.theta1_init, dtype=np.float64)
         if config.theta1_init is not None
@@ -242,10 +246,9 @@ def stage2_policy_gradient(
     reward_grad = np.stack(
         [family.reward_tensor(e_p) - r_zero for e_p in np.eye(theta1.size)], axis=-1
     )
-    # Lipschitz constant of the pseudo-likelihood gradient: one decision
-    # contributes the Q and soft-value Hessian bounds, so scale by the count.
-    unit = smoothness_constants(float(np.max(np.abs(reward_grad))), 0.0, family.discount, 1, 1)
-    lipschitz = unit.grad_lipschitz * points.n_steps
+    lipschitz = smoothness_constants(
+        float(np.max(np.abs(reward_grad))), 0.0, family.discount, points.n_steps
+    ).grad_lipschitz
     fixed_step = config.step_size
     if fixed_step is not None and lipschitz > 0.0 and fixed_step >= 2.0 / lipschitz:
         warnings.warn(
@@ -261,20 +264,12 @@ def stage2_policy_gradient(
         q, _, _ = solver.solve(rbar, tol=config.bellman_tol, q0=q_warm)
         return points.sum_log_pi(q), q
 
-    def predict(q_base, delta):
-        # First-order warm start: Q moves by roughly grad_Q . delta, which
-        # leaves only the curvature remainder for the solver to absorb.
-        if g_warm is None:
-            return q_base
-        return q_base + g_warm @ delta
-
     loglik_trace: list[float] = []
     grad_norm_trace: list[float] = []
     step_sizes: list[float] = []
     q_cur = None
     g_warm = None
     converged = False
-    step = min(1e-2, 1.0 / lipschitz) if lipschitz > 0 else 1e-2
 
     k = 0
     while k < config.max_stage2_iters:
@@ -291,7 +286,8 @@ def stage2_policy_gradient(
             g0=g_warm,
         )
         g_warm = gtable.values
-        _, grad = points.grad_sum_log_pi(q_cur, gtable.values)
+        _, scores = points.grad_sum_log_pi(q_cur, gtable.values)
+        grad = scores.sum(axis=0)
         gnorm = float(np.linalg.norm(grad))
         loglik_trace.append(float(ll_cur))
         grad_norm_trace.append(gnorm)
@@ -300,24 +296,23 @@ def stage2_policy_gradient(
             break
         if fixed_step is not None:
             theta1 = theta1 + fixed_step * grad
-            q_cur = predict(q_cur, fixed_step * grad)
             step_sizes.append(fixed_step)
             k += 1
             continue
-        # Backtracking: accept a strict Armijo improvement, halve otherwise.
-        accepted = False
-        while step * gnorm > STEP_FLOOR:
-            trial = theta1 + step * grad
-            ll_try, q_try = pseudo(trial, predict(q_cur, step * grad))
-            if np.isfinite(ll_try) and ll_try >= ll_cur + ARMIJO_SLOPE * step * gnorm**2:
+        # BHHH: S'S stands in for the negative Hessian; lstsq because fewer
+        # decisions than parameters leave it singular.
+        direction = np.linalg.lstsq(scores.T @ scores, grad, rcond=None)[0]
+        step = 1.0
+        while step * np.linalg.norm(direction) > STEP_FLOOR:
+            trial = theta1 + step * direction
+            ll_try, q_try = pseudo(trial, q_cur)
+            if np.isfinite(ll_try) and ll_try >= ll_cur + ARMIJO_SLOPE * step * (grad @ direction):
                 theta1 = trial
                 q_cur = q_try
                 step_sizes.append(step)
-                step *= 2.0
-                accepted = True
                 break
             step *= 0.5
-        if not accepted:
+        else:
             # No improving step exists at this scale; the gradient signal is
             # below the numerical floor.
             break

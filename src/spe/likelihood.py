@@ -237,9 +237,9 @@ class ChoicePoints:
         return float((picked - lse).sum())
 
     def grad_sum_log_pi(self, qvalues: np.ndarray, gvalues: np.ndarray):
-        """Value and gradient of the choice term; gvalues is (z, g, a, p)."""
+        """Value of the choice term and its (m, p) per-decision scores."""
         if self.n_steps == 0:
-            return 0.0, np.zeros(gvalues.shape[-1])
+            return 0.0, np.zeros((0, gvalues.shape[-1]))
         rows = self.q_rows(qvalues)
         lse = _logsumexp_actions(rows)
         rows_pi = np.exp(rows - lse[:, None])
@@ -248,7 +248,7 @@ class ChoicePoints:
         gflat = gvalues.reshape(-1, gvalues.shape[-2], gvalues.shape[-1])
         grows = np.einsum("mn,mnap->map", self.node_w, gflat[self.flat_idx])
         score = grows[np.arange(m), self.actions, :] - np.einsum("ma,map->mp", rows_pi, grows)
-        return float((picked - lse).sum()), score.sum(axis=0)
+        return float((picked - lse).sum()), score
 
 
 def pseudo_log_likelihood(
@@ -350,7 +350,7 @@ class SmoothnessConstants:
     reward_grad_bound / reward_hess_bound bound the reward gradient and
     Hessian in the reward parameters; the derived fields bound the Q and soft
     value Hessians and the Lipschitz constant of the pseudo-likelihood
-    gradient over a dataset.
+    gradient over a dataset of n_decisions decisions.
     """
 
     reward_grad_bound: float
@@ -366,14 +366,13 @@ def smoothness_constants(
     reward_grad_bound: float,
     reward_hess_bound: float,
     discount: float,
-    n_histories: int,
-    horizon: int,
+    n_decisions: int,
 ) -> SmoothnessConstants:
     one_minus = 1.0 - discount
     q_grad = reward_grad_bound / one_minus
     q_hess = reward_hess_bound / one_minus + 2.0 * discount * reward_grad_bound**2 / one_minus**3
     v_hess = reward_hess_bound / one_minus + 2.0 * reward_grad_bound**2 / one_minus**3
-    total = n_histories * horizon * (q_hess + v_hess)
+    total = n_decisions * (q_hess + v_hess)
     return SmoothnessConstants(
         reward_grad_bound=reward_grad_bound,
         reward_hess_bound=reward_hess_bound,

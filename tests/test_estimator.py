@@ -164,6 +164,7 @@ def test_two_button_oracle():
     )
     s2 = stage2_policy_gradient(hs, family, family.default_theta2(), cfg)
     assert s2.converged
+    assert s2.n_iters <= 5
     assert float(s2.theta1[0]) == pytest.approx(closed_form, abs=1e-4)
     # and the solved action-value gap equals the fitted reward gap
     model = family.build_model(s2.theta1, None)

@@ -6,14 +6,18 @@ import pytest
 from spe import (
     Belief,
     BeliefGrid,
+    History,
     PomdpModel,
     ccp,
+    filter_dataset,
     grad_log_pi,
     grad_q,
+    pseudo_log_likelihood,
     smoothness_constants,
     solve,
 )
 from spe.bellman import BellmanSolver
+from spe.likelihood import ChoicePoints
 from support import random_belief, random_model
 
 
@@ -96,6 +100,32 @@ def test_score_identity(probe_setup):
         assert float(np.max(np.abs(acc))) <= 1e-10
 
 
+def test_score_rows_match_scalar_grad_log_pi(probe_setup):
+    # row m of the score matrix is the scalar score at decision m, in
+    # dataset order, and the value is the pseudo log likelihood
+    model, basis, grid, theta0, m0, q0, g0 = probe_setup
+    rng = np.random.default_rng(7)
+    hs = [
+        History(
+            random_belief(rng, 2),
+            rng.integers(m0.n_obs, size=6),
+            rng.integers(m0.n_actions, size=5),
+        )
+        for _ in range(4)
+    ]
+    fps = filter_dataset(m0, hs)
+    points = ChoicePoints.from_filtered(grid, hs, fps)
+    value, scores = points.grad_sum_log_pi(q0.values, g0.values)
+    want = [
+        grad_log_pi(g0, q0, int(h.obs[t]), fp.beliefs[t], int(h.acts[t]))
+        for h, fp in zip(hs, fps)
+        for t in range(h.horizon)
+    ]
+    assert scores.shape == (20, 3)
+    np.testing.assert_allclose(scores, np.stack(want), rtol=0.0, atol=1e-12)
+    assert value == pytest.approx(pseudo_log_likelihood(q0, hs, fps), abs=1e-12)
+
+
 def test_grad_fixed_point_contracts(probe_setup):
     model, basis, grid, theta0, m0, q0, g0 = probe_setup
     solver = BellmanSolver(m0, grid)
@@ -151,12 +181,12 @@ def test_single_action_gradient_telescopes():
 
 
 def test_smoothness_constants_reference_values():
-    c = smoothness_constants(1.0, 0.0, 0.95, 1, 1)
+    c = smoothness_constants(1.0, 0.0, 0.95, 1)
     assert c.q_grad_bound == pytest.approx(20.0, abs=1e-9)
     assert c.q_hess_bound == pytest.approx(15_200.0, rel=1e-12)
     assert c.value_hess_bound == pytest.approx(16_000.0, rel=1e-12)
     assert c.grad_lipschitz == pytest.approx(31_200.0, rel=1e-12)
-    scaled = smoothness_constants(1.0, 0.0, 0.95, 500, 100)
+    scaled = smoothness_constants(1.0, 0.0, 0.95, 50_000)
     assert scaled.grad_lipschitz == pytest.approx(31_200.0 * 50_000, rel=1e-12)
 
 
