@@ -19,17 +19,17 @@ _SUBMODULES = {
         "NonFiniteObjective", "ParseError", "SchemaError", "ZeroObservationProbability",
     ),
     "model": (
-        "EULER_GAMMA", "Belief", "History", "PomdpModel", "apply_lambda_M",
-        "expected_reward", "lambda_update", "load_model", "save_model", "sigma",
+        "EULER_GAMMA", "Belief", "History", "PomdpModel", "lambda_update", "load_model",
+        "save_model", "sigma",
     ),
     "grid": ("BeliefGrid",),
     "bellman": (
-        "QTable", "SolveResult", "bellman_apply", "ccp", "finite_horizon_solve",
-        "load_qtable", "qtable_bound", "save_qtable", "soft_value", "solve",
+        "QTable", "SolveResult", "ccp", "finite_horizon_solve", "load_qtable", "save_qtable",
+        "soft_value", "solve",
     ),
     "likelihood": (
         "FilteredPath", "GradQTable", "LogLikelihood", "SmoothnessConstants",
-        "filter_dataset", "filter_history", "grad_log_pi", "grad_q", "log_likelihood",
+        "filter_dataset", "grad_log_pi", "grad_q", "log_likelihood",
         "observation_loglik", "pseudo_log_likelihood", "smoothness_constants",
     ),
     "estimator": (

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.special import logsumexp, softmax
 
 from .errors import InvalidParams, MaxIterExceeded
 from .grid import BeliefGrid
@@ -61,19 +60,12 @@ class QTable:
 
 def soft_value(q: QTable, z: int, x) -> float:
     """Expected maximum under Gumbel taste shocks: euler_gamma + logsumexp of Q."""
-    return float(q.euler_gamma + logsumexp(q.interpolate_row(z, x)))
+    return float(q.euler_gamma + _logsumexp_actions(q.interpolate_row(z, x)))
 
 
 def ccp(q: QTable, z: int, x) -> np.ndarray:
     """Conditional choice probabilities: softmax of the action values at (z, x)."""
-    return softmax(q.interpolate_row(z, x))
-
-
-def qtable_bound(model: PomdpModel) -> float:
-    """Sup-norm bound satisfied by the solved Q table."""
-    return (float(np.max(np.abs(model.reward))) + model.euler_gamma + np.log(model.n_actions)) / (
-        1.0 - model.discount
-    ) + 1.0
+    return _softmax_actions(q.interpolate_row(z, x))
 
 
 def _logsumexp_actions(values: np.ndarray) -> np.ndarray:
@@ -85,6 +77,11 @@ def _logsumexp_actions(values: np.ndarray) -> np.ndarray:
     actions = np.moveaxis(values, -1, 0)
     top = functools.reduce(np.maximum, actions)
     return np.log(sum(np.exp(qa - top) for qa in actions)) + top
+
+
+def _softmax_actions(values: np.ndarray) -> np.ndarray:
+    """Choice probabilities along the trailing action axis."""
+    return np.exp(values - _logsumexp_actions(values)[..., None])
 
 
 def _step_spans(x_next: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
@@ -229,12 +226,6 @@ class SolveResult:
     qtable: QTable
     iterations: int
     residual: float
-
-
-def bellman_apply(q: QTable, model: PomdpModel) -> QTable:
-    """One sweep of the soft Bellman operator."""
-    solver = BellmanSolver(model, q.grid)
-    return QTable(solver.apply(q.values), q.grid, model.content_key(), model.euler_gamma)
 
 
 def solve(

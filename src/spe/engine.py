@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import expit, softmax
 
-from .bellman import BeliefGrid, solve as bellman_solve
+from .bellman import BeliefGrid, _softmax_actions, solve as bellman_solve
 from .errors import InvalidParams, ParseError, SchemaError
 from .model import Belief, History, PomdpModel, bayes_posterior
 
@@ -124,9 +124,11 @@ def load_params(path) -> EngineParams:
 def _increment_mass(increments_row: np.ndarray, n_bins: int) -> np.ndarray:
     """Usage transition matrix (z, z') for one condition; the top bin saturates."""
     out = np.zeros((n_bins, n_bins))
-    for z in range(n_bins):
-        for d in range(N_INCREMENTS):
-            out[z, min(z + d, n_bins - 1)] += increments_row[d]
+    z = np.arange(n_bins)
+    # Within one increment the targets are distinct, and the saturated top
+    # bin sums its masses in increment order.
+    for d in range(N_INCREMENTS):
+        out[z, np.minimum(z + d, n_bins - 1)] += increments_row[d]
     return out
 
 
@@ -375,6 +377,10 @@ def simulate(params: EngineParams, config: SimConfig) -> SimResult:
     condition then evolves under the joint kernel and the belief is updated by
     Bayes' rule. Output is byte-identical for a given (params, config).
     """
+    if not 0 <= config.z0 < params.n_mileage_bins:
+        raise InvalidParams(
+            f"z0 {config.z0} is outside the usage bins [0, {params.n_mileage_bins})"
+        )
     model = build_engine_model(params, config.discount)
     grid = BeliefGrid.create(2, config.grid_resolution)
     qtable = bellman_solve(model, grid).qtable
@@ -407,8 +413,7 @@ def simulate(params: EngineParams, config: SimConfig) -> SimResult:
         beliefs[:, t, :] = x
         idx, w = grid.interpolate_many(x)
         q_rows = np.einsum("mn,mna->ma", w, qflat[z[:, None] * g + idx])
-        pis = softmax(q_rows, axis=1)
-        cum = np.cumsum(pis, axis=1)
+        cum = np.cumsum(_softmax_actions(q_rows), axis=1)
         a = np.minimum((u[:, 2 + 2 * t, None] >= cum).sum(axis=1), model.n_actions - 1)
         rows = cdf[a, z, s]
         k = np.minimum((u[:, 3 + 2 * t, None] >= rows).sum(axis=1), rows.shape[1] - 1)

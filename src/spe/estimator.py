@@ -33,11 +33,14 @@ from .errors import NonFiniteObjective
 from .grid import BeliefGrid
 from .model import Belief, History
 from .likelihood import (
+    PRIOR_TERM,
     ChoicePoints,
     DatasetBlocks,
     LogLikelihood,
     filter_dataset,
+    filtered_obs_term,
     grad_q,
+    # Unused here; kept because the traced benchmark (bench/layers.py) wraps this name.
     log_likelihood,
     observation_loglik,
     smoothness_constants,
@@ -352,16 +355,18 @@ def stage2_policy_gradient(
 
 
 def _fit_rewards(histories, family, stage1: Stage1Result, config, start, **diagnostics):
-    """Stage two at the stage-one dynamics, the final log likelihood, the report."""
+    """Stage two at the stage-one dynamics, then the report.
+
+    The log likelihood is the stages' own: the observation term of the
+    stage-one belief paths and the choice term stage two reached. The kernel
+    depends on theta2 alone, so those paths are the filter at the estimate.
+    """
     stage2 = stage2_policy_gradient(histories, family, stage1.theta2, config, stage1.filtered)
-    grid = BeliefGrid.create(family.n_states, config.grid_resolution)
-    final_model = family.build_model(stage2.theta1, stage1.theta2)
-    loglik = log_likelihood(final_model, histories, grid=grid, tol=config.bellman_tol)
     return EstimateReport(
         theta1=stage2.theta1,
         theta2=stage1.theta2,
         labeled=family.describe(stage2.theta1, stage1.theta2),
-        loglik=loglik,
+        loglik=LogLikelihood(filtered_obs_term(stage1.filtered), stage2.pseudo_loglik, PRIOR_TERM),
         stage1=stage1,
         stage2=stage2,
         config=config,
@@ -424,7 +429,7 @@ def fit_mdp_baseline(
     # Histories carry two-state initial beliefs; the baseline ignores them.
     flat = [History(Belief(np.ones(1)), h.obs, h.acts) for h in histories]
     filtered = filter_dataset(family.build_model(family.default_theta1(), theta2), flat)
-    obs_ll = float(sum(np.log(f.sigmas).sum() for f in filtered))
+    obs_ll = filtered_obs_term(filtered)
     stage1 = Stage1Result(
         theta2=theta2,
         unconstrained=family.theta2_to_unconstrained(theta2),

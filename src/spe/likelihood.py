@@ -15,10 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import softmax
 
-from .bellman import BellmanSolver, QTable, _logsumexp_actions, _span_corrected_iteration
-from .bellman import solve as bellman_solve
+from .bellman import BellmanSolver, QTable, _logsumexp_actions, _softmax_actions
+from .bellman import _span_corrected_iteration, solve as bellman_solve
 from .errors import InvalidParams, ZeroObservationProbability
 from .grid import BeliefGrid
 from .model import History, PomdpModel, bayes_posterior
@@ -136,8 +135,9 @@ def filter_dataset(model: PomdpModel, histories: list[History]) -> list[Filtered
     return out
 
 
-def filter_history(model: PomdpModel, history: History) -> FilteredPath:
-    return filter_dataset(model, [history])[0]
+def filtered_obs_term(filtered: list[FilteredPath]) -> float:
+    """Observation term sum_t log sigma_t of filtered paths, summed path by path."""
+    return float(sum(np.log(f.sigmas).sum() for f in filtered))
 
 
 def observation_loglik(
@@ -279,7 +279,7 @@ def log_likelihood(
         filtered = filter_dataset(model, histories)
     except ZeroObservationProbability:
         return LogLikelihood(float("-inf"), 0.0, PRIOR_TERM)
-    obs_term = float(sum(np.log(f.sigmas).sum() for f in filtered))
+    obs_term = filtered_obs_term(filtered)
     if qtable is None:
         if grid is None:
             grid = BeliefGrid.create(model.n_states, resolution)
@@ -324,7 +324,7 @@ def grad_q(
     reward_grad = np.asarray(reward_grad, dtype=np.float64)
     n_p = reward_grad.shape[-1]
     rg_nodes = np.einsum("azsp,gs->zgap", reward_grad, qtable.grid.nodes)
-    pis = np.exp(qtable.values - _logsumexp_actions(qtable.values)[..., None])
+    pis = _softmax_actions(qtable.values)
     g = np.zeros_like(rg_nodes) if g0 is None else np.asarray(g0, dtype=np.float64)
 
     def sweep(cur):
@@ -337,10 +337,8 @@ def grad_q(
 
 def grad_log_pi(gq: GradQTable, q: QTable, z: int, x, a: int) -> np.ndarray:
     """Score of the choice probability at one decision, shape (n_params,)."""
-    qrow = q.interpolate_row(z, x)
     grow = gq.interpolate_row(z, x)
-    pis = softmax(qrow)
-    return grow[a] - pis @ grow
+    return grow[a] - _softmax_actions(q.interpolate_row(z, x)) @ grow
 
 
 @dataclass(frozen=True)

@@ -206,34 +206,6 @@ def reachable_blocks(model: PomdpModel):
     return np.nonzero((mass >= SIGMA_FLOOR).any(axis=2).transpose(1, 0, 2))
 
 
-def expected_reward(model: PomdpModel, z: int, x, a: int) -> float:
-    """Belief-averaged flow reward: sum_s x(s) r(a, z, s)."""
-    xs = _belief_array(x)
-    return float(xs @ model.reward[a, z, :])
-
-
-def apply_lambda_M(model: PomdpModel, obs_window, act_window, x_start) -> Belief:
-    """Fold the Bayes update along a window: obs z_t..z_{t+M}, acts a_t..a_{t+M-1}.
-
-    With an empty action window the start belief is returned unchanged.
-    Propagates ZeroObservationProbability with the failing step index.
-    """
-    obs_window = np.asarray(obs_window, dtype=np.int64)
-    act_window = np.asarray(act_window, dtype=np.int64)
-    if obs_window.size != act_window.size + 1:
-        raise InvalidParams(
-            f"need len(obs_window) == len(act_window) + 1, got "
-            f"{obs_window.size} and {act_window.size}"
-        )
-    x = x_start if isinstance(x_start, Belief) else Belief(np.asarray(x_start, dtype=np.float64))
-    for t in range(act_window.size):
-        try:
-            x = lambda_update(model, int(obs_window[t + 1]), int(obs_window[t]), x, int(act_window[t]))
-        except ZeroObservationProbability as exc:
-            raise ZeroObservationProbability(str(exc), step=t) from None
-    return x
-
-
 def save_model(model: PomdpModel, path) -> None:
     payload = {
         "n_states": model.n_states,

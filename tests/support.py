@@ -1,9 +1,9 @@
-"""Shared builders for the test suite."""
+"""Shared builders and scalar reference oracles for the test suite."""
 from __future__ import annotations
 
 import numpy as np
 
-from spe import Belief, PomdpModel
+from spe import Belief, InvalidParams, PomdpModel, ZeroObservationProbability, lambda_update
 
 
 def random_kernel(rng: np.random.Generator, n_states: int, n_obs: int, n_actions: int) -> np.ndarray:
@@ -59,3 +59,38 @@ def two_state_hand_model(discount: float = 0.9) -> PomdpModel:
     kernel[0, 1, :] = [[0.25, 0.25], [0.25, 0.25]]
     reward = np.zeros((1, 2, 2))
     return PomdpModel(2, 2, 1, kernel, reward, discount)
+
+
+def qtable_bound(model: PomdpModel) -> float:
+    """Sup-norm bound satisfied by the solved Q table."""
+    return (float(np.max(np.abs(model.reward))) + model.euler_gamma + np.log(model.n_actions)) / (
+        1.0 - model.discount
+    ) + 1.0
+
+
+def expected_reward(model: PomdpModel, z: int, x, a: int) -> float:
+    """Belief-averaged flow reward: sum_s x(s) r(a, z, s)."""
+    xs = x.probs if isinstance(x, Belief) else np.asarray(x, dtype=np.float64)
+    return float(xs @ model.reward[a, z, :])
+
+
+def apply_lambda_M(model: PomdpModel, obs_window, act_window, x_start) -> Belief:
+    """Fold the Bayes update along a window: obs z_t..z_{t+M}, acts a_t..a_{t+M-1}.
+
+    With an empty action window the start belief is returned unchanged.
+    Propagates ZeroObservationProbability with the failing step index.
+    """
+    obs_window = np.asarray(obs_window, dtype=np.int64)
+    act_window = np.asarray(act_window, dtype=np.int64)
+    if obs_window.size != act_window.size + 1:
+        raise InvalidParams(
+            f"need len(obs_window) == len(act_window) + 1, got "
+            f"{obs_window.size} and {act_window.size}"
+        )
+    x = x_start if isinstance(x_start, Belief) else Belief(np.asarray(x_start, dtype=np.float64))
+    for t in range(act_window.size):
+        try:
+            x = lambda_update(model, int(obs_window[t + 1]), int(obs_window[t]), x, int(act_window[t]))
+        except ZeroObservationProbability as exc:
+            raise ZeroObservationProbability(str(exc), step=t) from None
+    return x

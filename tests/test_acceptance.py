@@ -31,7 +31,6 @@ from spe import (
     fit_mdp_baseline,
     grad_log_pi,
     grad_q,
-    qtable_bound,
     reference_params,
     simulate,
     solve,
@@ -41,7 +40,7 @@ from spe import (
 from spe.bellman import BellmanSolver
 from spe.engine import load_fleet_records
 from test_likelihood import brute_force_beliefs, brute_force_obs_loglik, simulate_crude
-from support import random_belief, random_model
+from support import qtable_bound, random_belief, random_model
 
 SEED = 4
 FIT_CONFIG = EstimatorConfig(grad_norm_tol=1e-6, max_stage2_iters=2000)

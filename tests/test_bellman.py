@@ -13,20 +13,18 @@ from spe import (
     MaxIterExceeded,
     PomdpModel,
     QTable,
-    bellman_apply,
     ccp,
     finite_horizon_solve,
     lambda_update,
     load_qtable,
-    qtable_bound,
     save_qtable,
     sigma,
     soft_value,
     solve,
 )
-from spe.bellman import BellmanSolver, _logsumexp_actions
+from spe.bellman import BellmanSolver, _logsumexp_actions, _softmax_actions
 from spe.model import SIGMA_FLOOR
-from support import random_model, sparse_random_model
+from support import qtable_bound, random_model, sparse_random_model
 
 
 def flat_model(reward_value: float, discount: float, n_actions: int = 2) -> PomdpModel:
@@ -60,7 +58,7 @@ def test_soft_value_hand_numbers():
         lse = _logsumexp_actions(values)
         np.testing.assert_allclose(lse, logsumexp(values, axis=-1), rtol=1e-13, atol=1e-13)
         np.testing.assert_allclose(
-            np.exp(values - lse[..., None]), softmax(values, axis=-1), rtol=1e-13, atol=1e-13
+            _softmax_actions(values), softmax(values, axis=-1), rtol=1e-13, atol=1e-13
         )
 
 
@@ -176,16 +174,6 @@ def test_finite_horizon_stationary_terminal():
         np.testing.assert_allclose(t.values, res.qtable.values, atol=1e-10)
 
 
-def test_bellman_apply_wrapper():
-    m = random_model(seed=6)
-    grid = BeliefGrid.create(m.n_states, 9)
-    solver = BellmanSolver(m, grid)
-    q = QTable(np.zeros((m.n_obs, grid.n_nodes, m.n_actions)), grid, m.content_key())
-    out = bellman_apply(q, m)
-    np.testing.assert_allclose(out.values, solver.apply(q.values), atol=0)
-    assert out.model_key == m.content_key()
-
-
 def test_solution_within_bound():
     m = random_model(seed=14, discount=0.9, reward_scale=3.0)
     res = solve(m, resolution=11, tol=1e-10)
@@ -273,8 +261,8 @@ def test_solver_rows_match_scalar_bayes_update(n_states):
 def test_solve_residual_contract(seed, discount):
     m = random_model(seed, discount=discount)
     res = solve(m, resolution=7, tol=1e-8)
-    check = bellman_apply(res.qtable, m)
-    assert float(np.max(np.abs(check.values - res.qtable.values))) <= 1e-8 * (1.0 + 1e-6)
+    check = BellmanSolver(m, res.qtable.grid).apply(res.qtable.values)
+    assert float(np.max(np.abs(check - res.qtable.values))) <= 1e-8 * (1.0 + 1e-6)
 
 
 def test_qtable_round_trip(tmp_path):

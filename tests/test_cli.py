@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -47,6 +48,15 @@ def test_simulate_rejects_empty_fleet(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("z0", ["500", "-1"])
+def test_simulate_rejects_z0_outside_usage_bins(tmp_path, capsys, z0):
+    out = tmp_path / "f.jsonl"
+    rc = run(["simulate", "--n", "3", "--t", "5", "--seed", "1", "--z0", z0, "--out", out])
+    assert rc == 1
+    assert not out.exists()
+    assert capsys.readouterr().err.startswith("error: z0")
+
+
 def test_simulate_missing_params_file(tmp_path, capsys):
     out = tmp_path / "x.jsonl"
     rc = run(
@@ -89,6 +99,24 @@ def test_cli_import_leaves_numpy_unloaded():
 def test_every_public_name_resolves():
     for name in spe.__all__:
         assert getattr(spe, name) is not None, name
+
+
+def test_every_public_name_is_used_or_documented():
+    # A public name earns its place by a caller in the package, its scripts or
+    # the benchmark, or by a mention in the README; test-only oracles live in
+    # tests/support.py instead.
+    root = Path(__file__).resolve().parents[1]
+    sources = [p for d in ("src/spe", "scripts", "bench") for p in (root / d).glob("*.py")]
+    code = "\n".join(p.read_text() for p in sources if p.name != "__init__.py")
+    readme = (root / "README.md").read_text()
+    orphans = [
+        name
+        for name in spe.__all__
+        if len(re.findall(rf"\b{name}\b", code))
+        == len(re.findall(rf"\b(?:def|class) {name}\b", code))
+        and not re.search(rf"\b{name}\b", readme)
+    ]
+    assert orphans == []
 
 
 def test_estimate_smoke(tiny_dataset, tmp_path, capsys):

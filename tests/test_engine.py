@@ -20,7 +20,6 @@ from spe import (
     build_engine_model,
     emit_dataset,
     emit_debug_sidecar,
-    expected_reward,
     load_dataset,
     load_fleet_records,
     load_params,
@@ -30,6 +29,7 @@ from spe import (
     simulate,
 )
 from spe.bellman import BellmanSolver
+from support import expected_reward
 
 
 def test_reference_values_frozen(ref_params):
@@ -176,6 +176,43 @@ def test_simulate_fixed_x0_and_z0(ref_params):
         assert h.obs[0] == 7
     # the hidden state draw respects a degenerate initial belief
     assert np.all(res.states[:, 0] == 0)
+
+
+@pytest.mark.parametrize(
+    "config, digests",
+    [
+        (
+            SimConfig(500, 100, seed=4),
+            (
+                "43c2e419699138f47ad34dd347b2dd3379aedfe70b9bb96c74d70b7319cb47cc",
+                "32c02e15379588b77e54b5239043d5bab09cab9e70c2838dc4768416166d9b15",
+                "4c5e5e572071ea71c3fd47ad0d366fbc014a023cc7f507557ca3db2d3b4da4a6",
+            ),
+        ),
+        (
+            SimConfig(40, 30, seed=7, x0=(0.3, 0.7), z0=60),
+            (
+                "e5e13a331cc0586dd6dd0df374b38fd4fe0d274f28c4b0ee0986d9a4a6df671f",
+                "e9a15a094703faaea3fdf53af7e04da21717008ab4bb228799712b2fced03c65",
+                "6eaadf2db65c0c8ef43ae6f36858a2dffbfe6e79c2fad68ff947e1994633d814",
+            ),
+        ),
+    ],
+    ids=["pinned-fleet", "fixed-x0"],
+)
+def test_simulated_fleet_bytes_frozen(ref_params, config, digests):
+    # the pinned acceptance fleet and every benchmark fleet come from simulate
+    res = simulate(ref_params, config)
+    obs = np.stack([h.obs for h in res.histories])
+    acts = np.stack([h.acts for h in res.histories])
+    got = tuple(hashlib.sha256(a.tobytes()).hexdigest() for a in (obs, acts, res.beliefs))
+    assert got == digests
+
+
+@pytest.mark.parametrize("z0", [-1, 120, 500])
+def test_simulate_rejects_z0_outside_usage_bins(ref_params, z0):
+    with pytest.raises(InvalidParams, match="z0"):
+        simulate(ref_params, SimConfig(3, 5, seed=1, z0=z0))
 
 
 def test_simulate_config_validation():

@@ -24,6 +24,7 @@ from spe import (
     stage2_policy_gradient,
 )
 from spe import estimator
+from spe.bellman import BellmanSolver
 from spe.likelihood import DatasetBlocks
 
 
@@ -129,6 +130,26 @@ def test_report_total_matches_recomputation(small_report, small_fleet, small_con
     )
     assert small_report.loglik.total == pytest.approx(ll.total, abs=1e-8)
     assert small_report.loglik.total == small_report.loglik.obs_term + small_report.loglik.choice_term
+
+
+def test_fit_reports_the_stages_own_likelihood(monkeypatch, small_report):
+    # The report's likelihood is what the two stages already computed: stage
+    # two's solver is the only one built, with no final refilter or cold solve.
+    fleet = simulate(reference_params(), SimConfig(500, 100, seed=4)).histories
+    builds = []
+    build = BellmanSolver.__init__
+
+    def counted(self, *args, **kwargs):
+        builds.append(1)
+        build(self, *args, **kwargs)
+
+    monkeypatch.setattr(BellmanSolver, "__init__", counted)
+    report = fit_mdp_baseline(fleet)
+    assert len(builds) == 1
+    for rep in (report, small_report):
+        assert rep.loglik.choice_term == rep.stage2.pseudo_loglik
+        obs_term = float(sum(np.log(f.sigmas).sum() for f in rep.stage1.filtered))
+        assert rep.loglik.obs_term == obs_term
 
 
 def test_estimate_is_deterministic(small_fleet, small_config, small_report):

@@ -11,10 +11,8 @@ from spe import (
     History,
     InvalidParams,
     PomdpModel,
-    apply_lambda_M,
     ccp,
     filter_dataset,
-    filter_history,
     lambda_update,
     log_likelihood,
     observation_loglik,
@@ -23,7 +21,7 @@ from spe import (
     solve,
 )
 from spe.likelihood import DatasetBlocks
-from support import random_belief, random_model, two_state_hand_model
+from support import apply_lambda_M, random_belief, random_model, two_state_hand_model
 
 
 def simulate_crude(model, rng, horizon, x0=None):
@@ -95,7 +93,7 @@ def test_filter_matches_scalar_updates():
     m = random_model(seed=8, n_obs=3)
     rng = np.random.default_rng(11)
     h = simulate_crude(m, rng, 7)
-    fp = filter_history(m, h)
+    fp = filter_dataset(m, [h])[0]
     x = h.x0
     for t in range(h.horizon):
         np.testing.assert_allclose(fp.beliefs[t], x.probs, atol=1e-12)
@@ -109,7 +107,7 @@ def test_filter_matches_scalar_updates():
 def test_filter_agrees_with_apply_lambda():
     m = two_state_hand_model()
     h = History(Belief(np.array([0.5, 0.5])), np.array([0, 1, 0]), np.array([0, 0]))
-    fp = filter_history(m, h)
+    fp = filter_dataset(m, [h])[0]
     mid = apply_lambda_M(m, [0, 1], [0], h.x0)
     np.testing.assert_allclose(fp.beliefs[1], mid.probs, atol=1e-14)
 
@@ -170,7 +168,7 @@ def test_engine_reset_belief_in_filter(engine_model):
         np.array([3, 5, 0, 1]),
         np.array([0, 1, 0]),
     )
-    fp = filter_history(engine_model, h)
+    fp = filter_dataset(engine_model, [h])[0]
     np.testing.assert_allclose(fp.beliefs[2], [1.0, 0.0], atol=1e-12)
 
 
@@ -181,8 +179,8 @@ def test_rank_one_kernel_forgets_x0_after_one_step():
     m = PomdpModel(2, 2, 1, kernel, np.zeros((1, 2, 2)), 0.9)
     obs = np.array([0, 1, 0, 1])
     acts = np.array([0, 0, 0])
-    fa = filter_history(m, History(Belief(np.array([0.9, 0.1])), obs, acts))
-    fb = filter_history(m, History(Belief(np.array([0.1, 0.9])), obs, acts))
+    fa = filter_dataset(m, [History(Belief(np.array([0.9, 0.1])), obs, acts)])[0]
+    fb = filter_dataset(m, [History(Belief(np.array([0.1, 0.9])), obs, acts)])[0]
     np.testing.assert_allclose(fa.beliefs[1:], fb.beliefs[1:], atol=1e-13)
 
 
@@ -195,7 +193,7 @@ def test_burn_in_drops_prefix_terms():
     tail = observation_loglik(m.kernel, blocks, burn_in=2)
     manual = 0.0
     for h in hs:
-        fp = filter_history(m, h)
+        fp = filter_dataset(m, [h])[0]
         manual += float(np.log(fp.sigmas[2:]).sum())
     assert tail == pytest.approx(manual, abs=1e-10)
     assert tail != pytest.approx(full, abs=1e-6)

@@ -12,13 +12,18 @@ from spe import (
     InvalidParams,
     PomdpModel,
     ZeroObservationProbability,
-    apply_lambda_M,
-    expected_reward,
     lambda_update,
     sigma,
 )
 from spe.model import SIGMA_FLOOR, bayes_posterior, reachable_blocks
-from support import random_belief, random_model, sparse_random_model, two_state_hand_model
+from support import (
+    apply_lambda_M,
+    expected_reward,
+    random_belief,
+    random_model,
+    sparse_random_model,
+    two_state_hand_model,
+)
 
 sizes = st.tuples(
     st.integers(0, 2**31 - 1),
