@@ -29,7 +29,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .bellman import BellmanSolver, QTable
-from .errors import NonFiniteObjective
+from .errors import InvalidParams, NonFiniteObjective
 from .grid import BeliefGrid
 from .model import Belief, History
 from .likelihood import (
@@ -79,18 +79,22 @@ class EstimatorConfig:
         for name in ("bellman_tol", "grad_q_tol"):
             if not (getattr(self, name) > 0.0):
                 raise ValueError(f"{name} must be positive")
+        if self.grid_resolution < 2:
+            raise ValueError("grid_resolution must be at least 2")
+        for name in ("max_stage2_iters", "stage1_max_iters"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must not be negative")
 
 
 @dataclass(eq=False)
 class Stage1Result:
     theta2: np.ndarray
-    unconstrained: np.ndarray
     obs_loglik: float
     trace: list
     converged: bool
     n_evals: int
     message: str
-    filtered: list | None = None    # frozen belief paths at theta2
+    filtered: list    # frozen belief paths at theta2
 
 
 @dataclass(eq=False)
@@ -149,23 +153,18 @@ class EstimateReport:
 
 
 def stage1_fit_theta2(
-    histories,
-    family,
-    config: EstimatorConfig,
-    burn_in: int = 0,
-    x0_override: np.ndarray | None = None,
-    u0: np.ndarray | None = None,
-    with_filtered: bool = True,
+    histories, family, config: EstimatorConfig, burn_in: int = 0
 ) -> Stage1Result:
     """Maximize the observation term over the dynamics parameters.
 
     Quasi-Newton (L-BFGS) with central finite differences on the
-    unconstrained chart; every trial point refilters the whole dataset.
-    Vanished observation probabilities are floored inside the search so the
-    objective stays finite. burn_in drops the first steps of each history
-    from the objective and x0_override replaces every initial belief; both
-    serve the initial-belief sensitivity sweep. with_filtered=False skips the
-    final strict filtering pass when the caller only needs the estimate.
+    unconstrained chart, started from config.theta2_init or the family
+    default; every trial point refilters the whole dataset from each
+    history's own initial belief. Vanished observation probabilities are
+    floored inside the search so the objective stays finite. burn_in drops
+    the first steps of each history from the objective, for the
+    initial-belief sweep. The result carries the belief paths filtered at
+    the estimate.
     """
     theta2_0 = (
         np.asarray(config.theta2_init, dtype=np.float64)
@@ -177,44 +176,30 @@ def stage1_fit_theta2(
 
     def negative_obs(u):
         kernel = family.build_kernel(family.theta2_from_unconstrained(u))
-        return -observation_loglik(
-            kernel, blocks, burn_in=burn_in, penalize=True, x0_override=x0_override
-        )
+        return -observation_loglik(kernel, blocks, burn_in=burn_in, penalize=True)
 
     trace: list[float] = []
 
     def record(intermediate_result):
         trace.append(-float(intermediate_result.fun))
 
-    if u0 is None:
-        u0 = family.theta2_to_unconstrained(theta2_0)
     res = minimize(
         negative_obs,
-        u0,
+        family.theta2_to_unconstrained(theta2_0),
         method="L-BFGS-B",
         jac="3-point",
         callback=record,
         options={"maxiter": config.stage1_max_iters},
     )
     theta2 = family.theta2_from_unconstrained(res.x)
-    filtered = None
-    if with_filtered:
-        model_hat = family.build_model(family.default_theta1(), theta2)
-        if x0_override is None:
-            fit_histories = histories
-        else:
-            x0 = Belief(np.asarray(x0_override, dtype=np.float64))
-            fit_histories = [History(x0, h.obs, h.acts) for h in histories]
-        filtered = filter_dataset(model_hat, fit_histories)
     return Stage1Result(
         theta2=theta2,
-        unconstrained=np.asarray(res.x),
         obs_loglik=float(-res.fun),
         trace=trace,
         converged=bool(res.success),
         n_evals=int(res.nfev),
         message=str(res.message),
-        filtered=filtered,
+        filtered=filter_dataset(family.build_model(family.default_theta1(), theta2), histories),
     )
 
 
@@ -374,8 +359,14 @@ def _fit_rewards(histories, family, stage1: Stage1Result, config, start, **diagn
     )
 
 
+def _require_decisions(histories) -> None:
+    if not any(h.horizon for h in histories):
+        raise InvalidParams("the dataset holds no decisions to fit")
+
+
 def estimate(histories, family, config: EstimatorConfig | None = None) -> EstimateReport:
     """Two-stage fit; deterministic for a given dataset and configuration."""
+    _require_decisions(histories)
     if config is None:
         config = EstimatorConfig()
     start = time.perf_counter()
@@ -421,6 +412,7 @@ def fit_mdp_baseline(
     """
     from .engine import MdpEngineFamily
 
+    _require_decisions(histories)
     if config is None:
         config = EstimatorConfig()
     family = MdpEngineFamily(n_mileage_bins, discount)
@@ -432,7 +424,6 @@ def fit_mdp_baseline(
     obs_ll = filtered_obs_term(filtered)
     stage1 = Stage1Result(
         theta2=theta2,
-        unconstrained=family.theta2_to_unconstrained(theta2),
         obs_loglik=obs_ll,
         trace=[obs_ll],
         converged=True,

@@ -149,7 +149,8 @@ def observation_loglik(
 ) -> float:
     """sum_t log sigma_t over the dataset, optionally skipping a burn-in prefix.
 
-    x0_override replaces every initial belief (used by initial-belief sweeps).
+    x0_override replaces every initial belief; the benchmark scores the prior
+    sweep's fits with it (bench/workloads.py).
     """
     total = 0.0
     for idx, obs, acts, x0 in blocks.blocks:

@@ -10,36 +10,46 @@ geometrically, which the sweep checks empirically on real estimates.
 """
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ContractionUndefined, InvalidParams
-from .estimator import EstimatorConfig, stage1_fit_theta2, stage2_policy_gradient
+from .estimator import EstimatorConfig, _require_decisions, stage1_fit_theta2
+from .estimator import stage2_policy_gradient
+# Unused here; kept because the traced benchmark (bench/layers.py) wraps this name.
 from .likelihood import filter_dataset
 from .model import Belief, History, PomdpModel, SIGMA_FLOOR, lambda_update
-from .model import bayes_posterior, reachable_blocks
+from .model import _belief_array, bayes_posterior, reachable_blocks
+
+
+def _metric_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """D along the trailing axis of two broadcastable stacks of beliefs."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r1 = np.where(b > 0.0, a / b, np.inf).min(axis=-1)
+        r2 = np.where(a > 0.0, b / a, np.inf).min(axis=-1)
+    return np.maximum(1.0 - r1, 1.0 - r2)
 
 
 def belief_metric(x, x_other) -> float:
     """D(x, x') = max of the two one-sided ratio gaps; 0 iff equal supports and values."""
-    a = x.probs if hasattr(x, "probs") else np.asarray(x, dtype=np.float64)
-    b = x_other.probs if hasattr(x_other, "probs") else np.asarray(x_other, dtype=np.float64)
-    return max(_one_sided(a, b), _one_sided(b, a))
+    return float(_metric_rows(_belief_array(x), _belief_array(x_other)))
 
 
-def _one_sided(a: np.ndarray, b: np.ndarray) -> float:
-    support = b > 0.0
-    return 1.0 - float(np.min(a[support] / b[support]))
+def _vertex_contraction(blocks: np.ndarray):
+    """Largest D between the live vertex posteriors of (..., s, s') kernel blocks.
 
-
-def _pairwise_metric(posteriors: np.ndarray) -> float:
-    """Max D over all row pairs of a (k, n_states) posterior stack."""
+    Returns (eta, defined). A vertex is live when its row mass reaches
+    SIGMA_FLOOR; eta is 0 with one live vertex, and defined is False with none.
+    """
+    mass = blocks.sum(axis=-1)
+    live = mass >= SIGMA_FLOOR
     with np.errstate(divide="ignore", invalid="ignore"):
-        denom = np.where(posteriors > 0.0, posteriors, np.nan)
-        ratios = posteriors[:, None, :] / denom[None, :, :]
-        d = 1.0 - np.nanmin(ratios, axis=2)
-    return float(np.max(np.maximum(d, d.T)))
+        posteriors = blocks / mass[..., None]
+    d = _metric_rows(posteriors[..., :, None, :], posteriors[..., None, :, :])
+    pairs = live[..., :, None] & live[..., None, :]
+    return np.where(pairs, d, 0.0).max(axis=(-2, -1)), live.any(axis=-1)
 
 
 def contraction_coefficient(model: PomdpModel, z_next: int, z: int, a: int) -> float:
@@ -49,24 +59,19 @@ def contraction_coefficient(model: PomdpModel, z_next: int, z: int, a: int) -> f
     observation probability. Raises ContractionUndefined when every vertex
     gives the observation probability zero.
     """
-    block = model.kernel[a, z, :, z_next, :]          # (s, s')
-    mass = block.sum(axis=1)
-    live = mass >= SIGMA_FLOOR
-    if not np.any(live):
+    eta, defined = _vertex_contraction(model.kernel[a, z, :, z_next, :])
+    if not defined:
         raise ContractionUndefined(
             f"observation z'={z_next} unreachable from z={z} under action {a}"
         )
-    posteriors = block[live] / mass[live][:, None]
-    if posteriors.shape[0] == 1:
-        return 0.0
-    return _pairwise_metric(posteriors)
+    return float(eta)
 
 
 def eta_table(model: PomdpModel) -> np.ndarray:
     """Contraction coefficients for all (z', z, a); NaN where undefined."""
+    z, a, z2 = reachable_blocks(model)
     out = np.full((model.n_obs, model.n_obs, model.n_actions), np.nan)
-    for z, a, z2 in zip(*reachable_blocks(model)):
-        out[z2, z, a] = contraction_coefficient(model, z2, z, a)
+    out[z2, z, a] = _vertex_contraction(model.kernel[a, z, :, z2, :])[0]
     return out
 
 
@@ -75,12 +80,18 @@ class ContractionReport:
     """Monte Carlo certificate for the one-step (or folded) contraction bound."""
 
     eta: np.ndarray          # (z', z, a), NaN where undefined
-    eta_max: float
     fold: int
     n_checked: int
     n_violations: int
     max_excess: float        # worst D_after - bound over all checks
-    passed: bool
+
+    @property
+    def eta_max(self) -> float:
+        return float(np.nanmax(self.eta)) if np.any(np.isfinite(self.eta)) else 0.0
+
+    @property
+    def passed(self) -> bool:
+        return self.n_violations == 0
 
 
 def contraction_check(
@@ -103,7 +114,6 @@ def contraction_check(
     """
     rng = np.random.default_rng(seed)
     etas = eta_table(model)
-    eta_max = float(np.nanmax(etas)) if np.any(np.isfinite(etas)) else 0.0
     marg = model.kernel.sum(axis=-1)                  # (a, z, s, z')
     n_checked = 0
     n_violations = 0
@@ -141,22 +151,8 @@ def contraction_check(
             if excess > 0.0:
                 n_violations += 1
     return ContractionReport(
-        eta=etas,
-        eta_max=eta_max,
-        fold=fold,
-        n_checked=n_checked,
-        n_violations=n_violations,
-        max_excess=max_excess if n_checked else 0.0,
-        passed=n_violations == 0,
+        etas, fold, n_checked, n_violations, max_excess if n_checked else 0.0
     )
-
-
-def _metric_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise D for two aligned stacks of beliefs."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        r1 = np.where(b > 0.0, a / b, np.inf).min(axis=1)
-        r2 = np.where(a > 0.0, b / a, np.inf).min(axis=1)
-    return np.maximum(1.0 - r1, 1.0 - r2)
 
 
 def contraction_certificate(
@@ -191,13 +187,7 @@ def contraction_certificate(
                 n_violations += int(np.count_nonzero(excess > 0.0))
                 max_excess = max(max_excess, float(excess.max()))
     return ContractionReport(
-        eta=etas,
-        eta_max=float(np.nanmax(etas)) if np.any(np.isfinite(etas)) else 0.0,
-        fold=1,
-        n_checked=n_checked,
-        n_violations=n_violations,
-        max_excess=max_excess if n_checked else 0.0,
-        passed=n_violations == 0,
+        etas, 1, n_checked, n_violations, max_excess if n_checked else 0.0
     )
 
 
@@ -234,12 +224,15 @@ def x0_sweep_estimate(
 ) -> X0SweepResult:
     """Refit the dynamics under a grid of assumed initial beliefs.
 
-    For each burn-in M the observation objective drops the first M steps and
-    every history starts from the candidate belief; the spread is the 2-norm
-    diameter of the resulting dynamics estimates. Consecutive fits warm-start
-    each other. With refit_rewards the reward stage is rerun per candidate on
-    the post-burn-in tails and the reward spread is recorded too.
+    Each candidate belief replaces the initial belief of every history, and
+    stage one is fitted on those histories with the first M steps dropped
+    from the objective; the spread is the 2-norm diameter of the dynamics
+    estimates for one burn-in M. Each fit starts from the previous estimate.
+    With refit_rewards the reward stage is rerun per candidate on the
+    post-burn-in tails of the stage-one belief paths, and the reward spread
+    is recorded too.
     """
+    _require_decisions(histories)
     if config is None:
         config = EstimatorConfig()
     if candidates is None:
@@ -249,6 +242,11 @@ def x0_sweep_estimate(
         candidates = np.stack([p, 1.0 - p], axis=1)
     else:
         candidates = np.atleast_2d(np.asarray(candidates, dtype=np.float64))
+    if candidates.ndim != 2 or candidates.shape[0] < 1 or candidates.shape[1] != family.n_states:
+        raise InvalidParams(
+            f"need at least one candidate belief over {family.n_states} hidden states, "
+            f"got shape {candidates.shape}"
+        )
     m_values = [int(m) for m in m_values]
     if any(m < 1 for m in m_values):
         raise InvalidParams("burn-in values must be at least 1")
@@ -257,31 +255,24 @@ def x0_sweep_estimate(
         raise InvalidParams(
             f"burn-in must be shorter than the shortest horizon {min_horizon}"
         )
+    rebased = [
+        [History(Belief(c), h.obs, h.acts) for h in histories] for c in candidates
+    ]
 
     spreads = []
     theta2_by_m: dict[int, np.ndarray] = {}
     theta1_by_m: dict[int, np.ndarray] = {}
     theta1_spreads: list[float] = []
-    last_u = None
+    fit_config = config
     for m in m_values:
         vecs = []
         theta1_vecs = []
-        for cand in candidates:
-            res = stage1_fit_theta2(
-                histories,
-                family,
-                config,
-                burn_in=m,
-                x0_override=cand,
-                u0=last_u,
-                with_filtered=False,
-            )
-            last_u = res.unconstrained
+        for fit_histories in rebased:
+            res = stage1_fit_theta2(fit_histories, family, fit_config, burn_in=m)
+            fit_config = dataclasses.replace(config, theta2_init=tuple(res.theta2))
             vecs.append(np.asarray(res.theta2, dtype=np.float64).ravel())
             if refit_rewards:
-                theta1_vecs.append(
-                    _refit_rewards_tail(histories, family, res.theta2, cand, m, config)
-                )
+                theta1_vecs.append(_refit_rewards_tail(fit_histories, family, res, m, config))
         vecs = np.stack(vecs)
         theta2_by_m[m] = vecs
         spreads.append(_diameter(vecs))
@@ -299,16 +290,13 @@ def x0_sweep_estimate(
     )
 
 
-def _refit_rewards_tail(histories, family, theta2, candidate, burn_in, config):
-    """Reward stage on history tails, beliefs filtered from the candidate."""
-    model = family.build_model(family.default_theta1(), theta2)
-    replaced = [History(Belief(candidate), h.obs, h.acts) for h in histories]
-    filtered = filter_dataset(model, replaced)
+def _refit_rewards_tail(histories, family, stage1, burn_in, config):
+    """Reward stage on the history tails, from the stage-one beliefs at burn_in."""
     tails = [
         History(Belief(f.beliefs[burn_in]), h.obs[burn_in:], h.acts[burn_in:])
-        for h, f in zip(replaced, filtered)
+        for h, f in zip(histories, stage1.filtered)
     ]
-    res = stage2_policy_gradient(tails, family, theta2, config)
+    res = stage2_policy_gradient(tails, family, stage1.theta2, config)
     return np.asarray(res.theta1, dtype=np.float64)
 
 
@@ -324,14 +312,8 @@ class IdentificationProbe:
 
 def _is_rank1(model: PomdpModel, tol: float) -> bool:
     """True when every (a, z) block of observation rows is rank one."""
-    marg = model.kernel.sum(axis=-1)                  # (a, z, s, z')
-    for a in range(model.n_actions):
-        for z in range(model.n_obs):
-            block = marg[a, z]                        # (s, z')
-            s_vals = np.linalg.svd(block, compute_uv=False)
-            if s_vals.size > 1 and s_vals[1] > tol * max(s_vals[0], 1.0):
-                return False
-    return True
+    s_vals = np.linalg.svd(model.kernel.sum(axis=-1), compute_uv=False)   # (a, z, k), descending
+    return bool(np.all(s_vals[..., 1:] <= tol * np.maximum(s_vals[..., :1], 1.0)))
 
 
 def two_period_identification_probe(
@@ -355,11 +337,12 @@ def two_period_identification_probe(
         model_b.n_actions,
     ):
         raise InvalidParams("models must share observation, state, and action spaces")
-    xs = x0.probs if hasattr(x0, "probs") else np.asarray(x0, dtype=np.float64)
+    xs = _belief_array(x0)
     marg_a = model_a.kernel.sum(axis=-1)
     marg_b = model_b.kernel.sum(axis=-1)
-    sig0_a = np.einsum("s,azsw->zaw", xs, marg_a)     # (z0, a0, z1)
-    sig0_b = np.einsum("s,azsw->zaw", xs, marg_b)
+    # First-period posteriors and observation probabilities, (z0, a0, z1, s').
+    post_a, sig0_a, live_a = bayes_posterior(np.einsum("s,azswt->zawt", xs, model_a.kernel))
+    post_b, sig0_b, live_b = bayes_posterior(np.einsum("s,azswt->zawt", xs, model_b.kernel))
     diff0 = np.abs(sig0_a - sig0_b) > tol
     rank1_pair = _is_rank1(model_a, tol) and _is_rank1(model_b, tol)
     if np.any(diff0):
@@ -367,15 +350,11 @@ def two_period_identification_probe(
         return IdentificationProbe(True, 1, (z0, a0, z1), rank1_pair)
 
     # First-period predictions agree; posteriors may still differ.
-    numer_a = np.einsum("s,azswt->zawt", xs, model_a.kernel)   # (z0, a0, z1, s')
-    numer_b = np.einsum("s,azswt->zawt", xs, model_b.kernel)
-    valid = (sig0_a >= SIGMA_FLOOR) & (sig0_b >= SIGMA_FLOOR)
-    safe_a = np.where(valid[..., None], numer_a / np.maximum(sig0_a, SIGMA_FLOOR)[..., None], 0.0)
-    safe_b = np.where(valid[..., None], numer_b / np.maximum(sig0_b, SIGMA_FLOOR)[..., None], 0.0)
+    valid = live_a & live_b
     best: tuple | None = None
     for a1 in range(model_a.n_actions):
-        sig1_a = np.einsum("zaws,wsv->zawv", safe_a, marg_a[a1])
-        sig1_b = np.einsum("zaws,wsv->zawv", safe_b, marg_b[a1])
+        sig1_a = np.einsum("zaws,wsv->zawv", post_a, marg_a[a1])
+        sig1_b = np.einsum("zaws,wsv->zawv", post_b, marg_b[a1])
         mask = (np.abs(sig1_a - sig1_b) > tol) & valid[..., None]
         if np.any(mask):
             z0, a0, z1, z2 = map(int, np.argwhere(mask)[0])

@@ -253,6 +253,33 @@ def test_sensitivity_csv_format(tiny_dataset, tmp_path):
         assert float(spread) >= 0.0
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["estimate"], ["estimate", "--family", "mdp"], ["sensitivity", "--m", "1"]],
+    ids=["estimate", "baseline", "sensitivity"],
+)
+@pytest.mark.parametrize(
+    "records",
+    ["", '{"x0": [0.5, 0.5], "z": [3], "a": []}\n'],
+    ids=["no-histories", "zero-length-histories"],
+)
+def test_dataset_without_decisions_is_an_error(tmp_path, capsys, argv, records):
+    data = tmp_path / "empty.jsonl"
+    data.write_text(records)
+    rc = run(argv + ["--data", data, "--out", tmp_path / "out"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "no decisions" in err
+
+
+def test_sensitivity_needs_a_candidate(tiny_dataset, tmp_path, capsys):
+    rc = run(["sensitivity", "--data", tiny_dataset, "--m", "1", "--candidates", "0",
+              "--out", tmp_path / "curve.csv"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "at least one candidate" in err
+
+
 def test_identify_probe_cli(tmp_path, capsys):
     ref = reference_params()
     pa = tmp_path / "a.json"

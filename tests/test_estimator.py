@@ -10,6 +10,7 @@ from spe import (
     EngineFamily,
     EstimatorConfig,
     History,
+    InvalidParams,
     PomdpModel,
     SimConfig,
     empirical_increments,
@@ -22,8 +23,9 @@ from spe import (
     solve,
     stage1_fit_theta2,
     stage2_policy_gradient,
+    x0_sweep_estimate,
 )
-from spe import estimator
+from spe import estimator, sensitivity
 from spe.bellman import BellmanSolver
 from spe.likelihood import DatasetBlocks
 
@@ -88,13 +90,6 @@ def test_stage1_dominates_truth(small_fleet, small_config):
     assert all(fp.model_key == model_hat.content_key() for fp in s1.filtered)
 
 
-def test_stage1_can_skip_filtering(small_fleet, small_config):
-    s1 = stage1_fit_theta2(
-        small_fleet, EngineFamily(), small_config, with_filtered=False
-    )
-    assert s1.filtered is None
-
-
 def test_stage1_trace_costs_no_extra_filter_pass(small_fleet, small_config, monkeypatch):
     # the trace is read off the optimizer's own objective values, so the
     # dataset is filtered once per objective evaluation and not again per
@@ -107,7 +102,7 @@ def test_stage1_trace_costs_no_extra_filter_pass(small_fleet, small_config, monk
         return filter_pass(*args, **kwargs)
 
     monkeypatch.setattr(estimator, "observation_loglik", counted)
-    s1 = stage1_fit_theta2(small_fleet, EngineFamily(), small_config, with_filtered=False)
+    s1 = stage1_fit_theta2(small_fleet, EngineFamily(), small_config)
     assert len(passes) == s1.n_evals
     assert len(s1.trace) >= 2 and all(type(v) is float for v in s1.trace)
     assert s1.trace[-1] == s1.obs_loglik
@@ -312,3 +307,29 @@ def test_config_validation():
         EstimatorConfig(step_size=-1.0)
     with pytest.raises(ValueError):
         EstimatorConfig(bellman_tol=-1e-9)
+    with pytest.raises(ValueError):
+        EstimatorConfig(grid_resolution=1)
+    with pytest.raises(ValueError):
+        EstimatorConfig(stage1_max_iters=-1)
+    with pytest.raises(ValueError):
+        EstimatorConfig(max_stage2_iters=-1)
+
+
+@pytest.mark.parametrize(
+    "histories",
+    [[], [History(Belief.uniform(2), np.array([3]), np.array([], dtype=np.int64))]],
+    ids=["no-histories", "zero-length-histories"],
+)
+def test_fits_reject_a_dataset_without_decisions(histories, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("fitting started on a dataset without decisions")
+
+    monkeypatch.setattr(estimator, "stage1_fit_theta2", no_work)
+    monkeypatch.setattr(estimator, "filter_dataset", no_work)
+    monkeypatch.setattr(sensitivity, "stage1_fit_theta2", no_work)
+    with pytest.raises(InvalidParams):
+        estimate(histories, EngineFamily())
+    with pytest.raises(InvalidParams):
+        fit_mdp_baseline(histories)
+    with pytest.raises(InvalidParams):
+        x0_sweep_estimate(histories, EngineFamily(), m_values=(1,))

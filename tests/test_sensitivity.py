@@ -11,6 +11,7 @@ from spe import (
     ContractionUndefined,
     EngineFamily,
     EstimatorConfig,
+    History,
     InvalidParams,
     PomdpModel,
     SimConfig,
@@ -23,10 +24,12 @@ from spe import (
     lambda_update,
     reference_params,
     simulate,
+    stage1_fit_theta2,
     two_period_identification_probe,
     x0_sweep_estimate,
 )
-from support import random_belief, two_state_hand_model
+from spe.model import SIGMA_FLOOR
+from support import random_belief, sparse_random_model, two_state_hand_model
 
 
 def test_metric_worked_example():
@@ -91,6 +94,31 @@ def test_contraction_undefined_raises():
     assert np.isfinite(table[1, 0, 0])
 
 
+@pytest.mark.parametrize("n_states", [1, 2, 3])
+def test_eta_table_on_uneven_models(n_states):
+    # blocks no vertex reaches, blocks reached from one vertex, and blocks
+    # with dead vertices: each entry is the largest D between the scalar
+    # posteriors of the live vertices
+    m = sparse_random_model(seed=5, n_states=n_states)
+    table = eta_table(m)
+    live_counts = set()
+    for z2, z, a in np.ndindex(table.shape):
+        live = np.flatnonzero(m.kernel[a, z, :, z2, :].sum(axis=1) >= SIGMA_FLOOR)
+        live_counts.add(live.size)
+        if live.size == 0:
+            assert np.isnan(table[z2, z, a])
+            with pytest.raises(ContractionUndefined):
+                contraction_coefficient(m, z2, z, a)
+            continue
+        posts = [lambda_update(m, z2, z, Belief.point_mass(s, n_states), a) for s in live]
+        expected = max(belief_metric(p, q) for p in posts for q in posts)
+        assert abs(table[z2, z, a] - expected) <= 1e-12
+        assert contraction_coefficient(m, z2, z, a) == table[z2, z, a]
+    assert {0, 1} <= live_counts
+    if n_states == 3:
+        assert 2 in live_counts
+
+
 def test_engine_replacement_forgets_immediately(engine_model):
     # the reset action maps every belief to (1, 0): coefficient zero
     table = eta_table(engine_model)
@@ -147,6 +175,27 @@ def test_sweep_validation(ref_params):
         x0_sweep_estimate(sim.histories, family, m_values=(0, 1))
     with pytest.raises(InvalidParams):
         x0_sweep_estimate(sim.histories, family, m_values=(10,))
+    # each candidate must be a belief over the family's hidden states, and
+    # there must be one; all of this is caught before any fit starts
+    for cands in ([[0.5, 0.6]], [[1.5, -0.5]], [[0.2, 0.3, 0.5]], np.zeros((0, 2))):
+        with pytest.raises(InvalidParams):
+            x0_sweep_estimate(sim.histories, family, m_values=(1,), candidates=cands)
+
+
+def test_sweep_prior_travels_on_the_histories(ref_params):
+    # candidate c's fit is stage 1 on the histories rebased onto c, started
+    # from the previous candidate's estimate
+    sim = simulate(ref_params, SimConfig(12, 20, seed=7))
+    family = EngineFamily()
+    cfg = EstimatorConfig(grid_resolution=31, stage1_max_iters=120)
+    cands = np.array([[0.8, 0.2], [0.2, 0.8]])
+    res = x0_sweep_estimate(sim.histories, family, cfg, m_values=(2,), candidates=cands)
+    rebased = [[History(Belief(c), h.obs, h.acts) for h in sim.histories] for c in cands]
+    first = stage1_fit_theta2(rebased[0], family, cfg, burn_in=2)
+    np.testing.assert_array_equal(res.theta2_by_m[2][0], first.theta2)
+    warm = dataclasses.replace(cfg, theta2_init=tuple(first.theta2))
+    second = stage1_fit_theta2(rebased[1], family, warm, burn_in=2)
+    np.testing.assert_array_equal(res.theta2_by_m[2][1], second.theta2)
 
 
 def test_sweep_rank_one_dynamics_ignore_x0(ref_params):
