@@ -105,6 +105,8 @@ def _span_corrected_iteration(sweep, x: np.ndarray, beta: float, tol: float, max
     sweep confirms the residual. Returns (x, sweeps, residual) and raises
     MaxIterExceeded when the cap is hit with the residual above tol.
     """
+    if not tol > 0.0:
+        raise InvalidParams("tol must be positive")
     span_gate = tol * (1.0 - beta)
     x_next = sweep(x)
     d_max, d_min, residual = _step_spans(x_next, x)

@@ -103,7 +103,7 @@ def cmd_simulate(args) -> int:
         seed=args.seed,
         x0=_parse_x0(args.x0),
         z0=args.z0,
-        grid_resolution=args.grid_resolution or 101,
+        grid_resolution=args.grid_resolution,
         discount=args.discount,
     )
     result = simulate(params, config)
@@ -152,6 +152,13 @@ def cmd_estimate(args) -> int:
         f"loglik total {ll.total:.3f} (obs {ll.obs_term:.3f}, "
         f"choice {ll.choice_term:.3f}, prior {ll.prior_term:.3f})"
     )
+    for action, count in enumerate(report.stage2.diagnostics["action_counts"]):
+        if count == 0:
+            print(
+                f"warning: action {action} is never taken; the choice likelihood "
+                "has no finite maximum in its reward",
+                file=sys.stderr,
+            )
     if not report.stage1.converged or not report.stage2.converged:
         # Report is already on disk; flag the run and fail the exit code.
         print(
@@ -178,7 +185,7 @@ def cmd_evaluate(args) -> int:
         model = build_engine_model(params, args.discount)
         source = str(args.params) if args.params else "reference"
         source_hash = _sha256(args.params) if args.params else None
-    ll = log_likelihood(model, histories, resolution=args.grid_resolution or 101)
+    ll = log_likelihood(model, histories, resolution=args.grid_resolution)
     print(
         f"loglik total {ll.total:.6f} (obs {ll.obs_term:.6f}, "
         f"choice {ll.choice_term:.6f}, prior {ll.prior_term:.6f})"
@@ -191,7 +198,7 @@ def cmd_evaluate(args) -> int:
                 "data_sha256": _sha256(args.data),
                 "model": source,
                 "model_sha256": source_hash,
-                "grid_resolution": args.grid_resolution or 101,
+                "grid_resolution": args.grid_resolution,
                 "loglik": {
                     "obs_term": ll.obs_term,
                     "choice_term": ll.choice_term,
@@ -341,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--params", help="engine parameter JSON")
     p_eval.add_argument("--model", help="generic model JSON")
     p_eval.add_argument("--discount", type=float, default=0.95)
-    p_eval.add_argument("--grid-resolution", type=int, default=None)
+    p_eval.add_argument("--grid-resolution", type=int, default=101)
     p_eval.add_argument("--out")
     p_eval.set_defaults(func=cmd_evaluate)
 

@@ -100,13 +100,19 @@ class Stage1Result:
 @dataclass(eq=False)
 class Stage2Result:
     theta1: np.ndarray
-    pseudo_loglik: float
     loglik_trace: list
     grad_norm_trace: list
     step_sizes: list
     converged: bool
-    n_iters: int
     diagnostics: dict
+
+    @property
+    def pseudo_loglik(self) -> float:
+        return self.loglik_trace[-1]
+
+    @property
+    def n_iters(self) -> int:
+        return len(self.step_sizes)
 
 
 @dataclass(eq=False)
@@ -208,12 +214,13 @@ def stage2_policy_gradient(
     family,
     theta2: np.ndarray,
     config: EstimatorConfig,
-    filtered=None,
+    filtered,
 ) -> Stage2Result:
     """Ascend the choice term in theta1 with beliefs frozen at theta2.
 
-    By default each step is BHHH along (S'S)^+ S'1 for the per-decision
-    scores S; a fixed step_size runs gradient ascent and certifies it.
+    filtered holds the histories' belief paths at theta2. By default each
+    step is BHHH along (S'S)^+ S'1 for the per-decision scores S; a fixed
+    step_size runs gradient ascent and certifies it. Each point is solved once.
     """
     theta1 = (
         np.asarray(config.theta1_init, dtype=np.float64)
@@ -221,8 +228,6 @@ def stage2_policy_gradient(
         else family.default_theta1()
     )
     model = family.build_model(theta1, theta2)
-    if filtered is None:
-        filtered = filter_dataset(model, histories)
     grid = BeliefGrid.create(family.n_states, config.grid_resolution)
     solver = BellmanSolver(model, grid)
     points = ChoicePoints.from_filtered(grid, histories, filtered)
@@ -252,89 +257,68 @@ def stage2_policy_gradient(
         q, _, _ = solver.solve(rbar, tol=config.bellman_tol, q0=q_warm)
         return points.sum_log_pi(q), q
 
-    loglik_trace: list[float] = []
+    ll_cur, q_cur = pseudo(theta1, None)
+    loglik_trace: list[float] = [float(ll_cur)]    # every iterate, the start included
     grad_norm_trace: list[float] = []
     step_sizes: list[float] = []
-    q_cur = None
     g_warm = None
     converged = False
 
-    k = 0
-    while k < config.max_stage2_iters:
-        ll_cur, q_cur = pseudo(theta1, q_cur)
+    for k in range(config.max_stage2_iters):
         if not np.isfinite(ll_cur):
             raise NonFiniteObjective(f"pseudo-likelihood is {ll_cur!r} at iterate {k}")
         qtable = QTable(q_cur, grid, key, model.euler_gamma)
-        gtable = grad_q(
-            model,
-            reward_grad,
-            qtable,
-            tol=config.grad_q_tol,
-            solver=solver,
-            g0=g_warm,
-        )
-        g_warm = gtable.values
-        _, scores = points.grad_sum_log_pi(q_cur, gtable.values)
+        g_warm = grad_q(
+            model, reward_grad, qtable, tol=config.grad_q_tol, solver=solver, g0=g_warm
+        ).values
+        _, scores = points.grad_sum_log_pi(q_cur, g_warm)
         grad = scores.sum(axis=0)
         gnorm = float(np.linalg.norm(grad))
-        loglik_trace.append(float(ll_cur))
         grad_norm_trace.append(gnorm)
         if gnorm / n_steps <= config.grad_norm_tol:
             converged = True
             break
         if fixed_step is not None:
-            theta1 = theta1 + fixed_step * grad
-            step_sizes.append(fixed_step)
-            k += 1
-            continue
-        # BHHH: S'S stands in for the negative Hessian; lstsq because fewer
-        # decisions than parameters leave it singular.
-        direction = np.linalg.lstsq(scores.T @ scores, grad, rcond=None)[0]
-        step = 1.0
-        while step * np.linalg.norm(direction) > STEP_FLOOR:
-            trial = theta1 + step * direction
-            ll_try, q_try = pseudo(trial, q_cur)
-            if np.isfinite(ll_try) and ll_try >= ll_cur + ARMIJO_SLOPE * step * (grad @ direction):
-                theta1 = trial
-                q_cur = q_try
-                step_sizes.append(step)
-                break
-            step *= 0.5
+            step, theta1 = fixed_step, theta1 + fixed_step * grad
+            ll_cur, q_cur = pseudo(theta1, q_cur)
         else:
-            # No improving step exists at this scale; the gradient signal is
-            # below the numerical floor.
-            break
-        k += 1
-
-    # When the loop exits right after a step, evaluate the final iterate so
-    # the trace covers it; grad norms stay aligned with the update steps.
-    if not loglik_trace or (step_sizes and len(step_sizes) == len(loglik_trace)):
-        ll_cur, q_cur = pseudo(theta1, q_cur)
+            # BHHH: S'S stands in for the negative Hessian; lstsq because
+            # fewer decisions than parameters leave it singular.
+            direction = np.linalg.lstsq(scores.T @ scores, grad, rcond=None)[0]
+            step = 1.0
+            while step * np.linalg.norm(direction) > STEP_FLOOR:
+                trial = theta1 + step * direction
+                ll_try, q_try = pseudo(trial, q_cur)
+                if np.isfinite(ll_try) and ll_try >= ll_cur + ARMIJO_SLOPE * step * (grad @ direction):
+                    theta1, ll_cur, q_cur = trial, ll_try, q_try
+                    break
+                step *= 0.5
+            else:
+                # No improving step exists at this scale; the gradient signal
+                # is below the numerical floor.
+                break
+        step_sizes.append(step)
         loglik_trace.append(float(ll_cur))
 
     diagnostics: dict = {
         "grad_lipschitz": lipschitz,
         "mode": "fixed" if fixed_step is not None else "backtracking",
         "n_decisions": points.n_steps,
+        "action_counts": np.bincount(points.actions, minlength=model.n_actions).tolist(),
     }
-    if fixed_step is not None and len(loglik_trace) >= 2:
-        n_updates = len(loglik_trace) - 1
+    n_updates = len(step_sizes)
+    if fixed_step is not None and n_updates:
         denom = fixed_step * (1.0 - fixed_step * lipschitz / 2.0)
         if denom > 0:
-            diagnostics["stationarity_bound"] = (
-                (max(loglik_trace) - loglik_trace[0]) / (n_updates * denom)
-            )
-            diagnostics["min_sq_grad_norm"] = float(
-                min(g**2 for g in grad_norm_trace[:n_updates])
-            )
+            gain = max(loglik_trace) - loglik_trace[0]
+            diagnostics["stationarity_bound"] = gain / (n_updates * denom)
+            diagnostics["min_sq_grad_norm"] = min(g**2 for g in grad_norm_trace[:n_updates])
     return Stage2Result(
         theta1=theta1,
-        pseudo_loglik=float(loglik_trace[-1]),
         loglik_trace=loglik_trace,
         grad_norm_trace=grad_norm_trace,
         step_sizes=step_sizes,
         converged=converged,
-        n_iters=len(step_sizes),
         diagnostics=diagnostics,
     )
 

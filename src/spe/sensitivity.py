@@ -18,6 +18,7 @@ import numpy as np
 from .errors import ContractionUndefined, InvalidParams
 from .estimator import EstimatorConfig, _require_decisions, stage1_fit_theta2
 from .estimator import stage2_policy_gradient
+from .likelihood import FilteredPath
 # Unused here; kept because the traced benchmark (bench/layers.py) wraps this name.
 from .likelihood import filter_dataset
 from .model import Belief, History, PomdpModel, SIGMA_FLOOR, lambda_update
@@ -291,12 +292,16 @@ def x0_sweep_estimate(
 
 
 def _refit_rewards_tail(histories, family, stage1, burn_in, config):
-    """Reward stage on the history tails, from the stage-one beliefs at burn_in."""
+    """Reward stage on the history tails, on the stage-one belief paths cut at burn_in."""
     tails = [
         History(Belief(f.beliefs[burn_in]), h.obs[burn_in:], h.acts[burn_in:])
         for h, f in zip(histories, stage1.filtered)
     ]
-    res = stage2_policy_gradient(tails, family, stage1.theta2, config)
+    paths = [
+        FilteredPath(f.beliefs[burn_in:], f.sigmas[burn_in:], f.model_key)
+        for f in stage1.filtered
+    ]
+    res = stage2_policy_gradient(tails, family, stage1.theta2, config, paths)
     return np.asarray(res.theta1, dtype=np.float64)
 
 

@@ -98,6 +98,12 @@ def test_criterion_1_parameter_recovery(fit, truth):
     assert float(dev1.max()) <= 0.08
 
 
+def test_criterion_1_every_action_is_observed(fit):
+    # an action the data never shows leaves its reward without a finite
+    # maximizer, and `spe estimate` warns on a zero count; here none is zero
+    assert fit.stage2.diagnostics["action_counts"] == [49978, 22]
+
+
 @pytest.mark.slow
 def test_criterion_1_full_scale_reproduction(truth):
     # documented large-sample targets: element-wise 0.006 on dynamics,

@@ -10,11 +10,13 @@ from spe import (
     EULER_GAMMA,
     Belief,
     BeliefGrid,
+    InvalidParams,
     MaxIterExceeded,
     PomdpModel,
     QTable,
     ccp,
     finite_horizon_solve,
+    grad_q,
     lambda_update,
     load_qtable,
     save_qtable,
@@ -186,6 +188,17 @@ def test_max_iter_exceeded():
         solve(m, resolution=9, tol=1e-12, max_iter=3)
     assert exc.value.iterations == 3
     assert exc.value.residual > 0.0
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, float("nan")])
+def test_non_positive_tolerance_is_rejected(tol):
+    m = random_model(seed=2, discount=0.9)
+    q = solve(m, resolution=5).qtable
+    basis = np.ones((*m.reward.shape, 1))
+    with pytest.raises(InvalidParams, match="tol must be positive"):
+        solve(m, resolution=5, tol=tol)
+    with pytest.raises(InvalidParams, match="tol must be positive"):
+        grad_q(m, basis, q, tol=tol)
 
 
 def test_warm_start_accepted_fast():

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import subprocess
 import sys
 from pathlib import Path
 
@@ -30,3 +31,16 @@ def test_traced_entry_points_install_and_restore(monkeypatch):
         tracer.restore()
     for owner, attr, original in patched:
         assert _current(owner, attr) is original, (owner, attr)
+
+
+def test_bench_selftest_runs_every_workload():
+    # The toy-size self-test runs the four workloads untraced and traced and
+    # checks that each emits every metric BENCHMARK.json declares.
+    done = subprocess.run(
+        [sys.executable, "-B", str(BENCH / "selftest.py")],
+        capture_output=True,
+        text=True,
+        timeout=600,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert done.stdout.rstrip().endswith("selftest passed")

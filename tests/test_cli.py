@@ -239,6 +239,39 @@ def test_bellman_solve_cli(tmp_path, capsys):
     assert "solved in" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("tol", ["0", "-1", "nan"])
+def test_bellman_solve_rejects_non_positive_tol(tmp_path, capsys, tol):
+    out = tmp_path / "q.json"
+    assert run(["bellman-solve", "--resolution", "5", "--tol", tol, "--out", out]) == 1
+    assert not out.exists()
+    assert capsys.readouterr().err.startswith("error: tol must be positive")
+
+
+@pytest.mark.parametrize("resolution", ["0", "1"])
+def test_grid_resolution_below_two_is_an_error(tiny_dataset, tmp_path, capsys, resolution):
+    out = tmp_path / "out.jsonl"
+    assert run(["simulate", "--n", "2", "--t", "3", "--seed", "1",
+                "--grid-resolution", resolution, "--out", out]) == 1
+    assert run(["evaluate", "--data", tiny_dataset, "--grid-resolution", resolution,
+                "--out", out]) == 1
+    assert not out.exists()
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and all(line.startswith("error:") for line in err)
+
+
+def test_estimate_warns_about_an_action_never_taken(tiny_dataset, capsys):
+    # tiny_dataset holds no replacement, so the replacement cost has no
+    # finite maximum; the fit still runs, and says so on stderr
+    run(["estimate", "--data", tiny_dataset, "--grid-resolution", "11",
+         "--stage1-max-iters", "0", "--max-iters", "0"])
+    warnings = [line for line in capsys.readouterr().err.splitlines()
+                if line.startswith("warning: action")]
+    assert warnings == [
+        "warning: action 1 is never taken; the choice likelihood has no finite "
+        "maximum in its reward"
+    ]
+
+
 def test_sensitivity_csv_format(tiny_dataset, tmp_path):
     csv_path = tmp_path / "curve.csv"
     rc = run(["sensitivity", "--data", tiny_dataset, "--m", "1,3",

@@ -15,6 +15,7 @@ from spe import (
     SimConfig,
     empirical_increments,
     estimate,
+    filter_dataset,
     fit_mdp_baseline,
     log_likelihood,
     observation_loglik,
@@ -178,7 +179,10 @@ def test_two_button_oracle():
     cfg = EstimatorConfig(
         grid_resolution=2, grad_norm_tol=1e-6, max_stage2_iters=200
     )
-    s2 = stage2_policy_gradient(hs, family, family.default_theta2(), cfg)
+    s2 = stage2_policy_gradient(
+        hs, family, family.default_theta2(), cfg,
+        filter_dataset(family.build_model(family.default_theta1(), None), hs),
+    )
     assert s2.converged
     assert s2.n_iters <= 5
     assert float(s2.theta1[0]) == pytest.approx(closed_form, abs=1e-4)
@@ -206,7 +210,10 @@ def test_fixed_step_stationarity_bound():
         max_stage2_iters=40,
         step_size=rho,
     )
-    s2 = stage2_policy_gradient(hs, family, family.default_theta2(), cfg)
+    s2 = stage2_policy_gradient(
+        hs, family, family.default_theta2(), cfg,
+        filter_dataset(family.build_model(family.default_theta1(), None), hs),
+    )
     assert s2.diagnostics["mode"] == "fixed"
     lipschitz = s2.diagnostics["grad_lipschitz"]
     denom = rho * (1.0 - rho * lipschitz / 2.0)
@@ -234,7 +241,47 @@ def test_fixed_step_outside_stable_range_warns():
         grid_resolution=2, grad_norm_tol=1e-6, max_stage2_iters=2, step_size=10.0
     )
     with pytest.warns(UserWarning, match="outside the guaranteed range"):
-        stage2_policy_gradient(hs, family, family.default_theta2(), cfg)
+        stage2_policy_gradient(
+            hs, family, family.default_theta2(), cfg,
+            filter_dataset(family.build_model(family.default_theta1(), None), hs),
+        )
+
+
+def test_stage2_solves_each_point_once(monkeypatch, small_fleet, small_config, small_report):
+    # every iterate and every rejected BHHH trial costs one Bellman solve; an
+    # accepted trial is the next iterate and is not solved again
+    solves = []
+    solve_once = BellmanSolver.solve
+
+    def counted(self, *args, **kwargs):
+        solves.append(1)
+        return solve_once(self, *args, **kwargs)
+
+    monkeypatch.setattr(BellmanSolver, "solve", counted)
+    family = EngineFamily()
+    s2 = stage2_policy_gradient(
+        small_fleet, family, small_report.theta2, small_config, small_report.stage1.filtered
+    )
+    assert s2.converged
+    rejected = sum(round(-np.log2(step)) for step in s2.step_sizes)
+    assert len(solves) == len(s2.loglik_trace) + rejected
+
+    solves.clear()
+    rng = np.random.default_rng(29)
+    hs = [
+        History(Belief(np.ones(1)), np.zeros(2, dtype=np.int64), a[None])
+        for a in (rng.random(300) < 0.62).astype(np.int64)
+    ]
+    family = TwoButtonFamily()
+    cfg = EstimatorConfig(
+        grid_resolution=2, grad_norm_tol=1e-12, max_stage2_iters=10, step_size=1e-6
+    )
+    s2 = stage2_policy_gradient(
+        hs, family, family.default_theta2(), cfg,
+        filter_dataset(family.build_model(family.default_theta1(), None), hs),
+    )
+    assert s2.n_iters == 10
+    assert len(solves) == len(s2.loglik_trace) == 11
 
 
 def test_iteration_cap_flags_non_convergence(small_fleet):

@@ -21,10 +21,12 @@ from spe import (
     contraction_check,
     contraction_coefficient,
     eta_table,
+    filter_dataset,
     lambda_update,
     reference_params,
     simulate,
     stage1_fit_theta2,
+    stage2_policy_gradient,
     two_period_identification_probe,
     x0_sweep_estimate,
 )
@@ -252,6 +254,18 @@ def test_sweep_refit_rewards_path(ref_params):
     assert res.theta1_by_m[2].shape == (2, 3)
     assert len(res.theta1_spreads) == 1
     assert np.isfinite(res.theta1_spreads[0])
+    # the refit fits stage one's belief paths cut at the burn-in, which are
+    # the filter run afresh on the tails
+    family = EngineFamily()
+    for c, theta2, theta1 in zip(cands, res.theta2_by_m[2], res.theta1_by_m[2]):
+        model = family.build_model(family.default_theta1(), theta2)
+        rebased = [History(Belief(c), h.obs, h.acts) for h in sim.histories]
+        tails = [
+            History(Belief(f.beliefs[2]), h.obs[2:], h.acts[2:])
+            for h, f in zip(rebased, filter_dataset(model, rebased))
+        ]
+        again = stage2_policy_gradient(tails, family, theta2, cfg, filter_dataset(model, tails))
+        np.testing.assert_array_equal(again.theta1, theta1)
 
 
 def test_probe_equal_models(engine_model):
