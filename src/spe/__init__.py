@@ -44,8 +44,8 @@ _SUBMODULES = {
     ),
     "sensitivity": (
         "ContractionReport", "IdentificationProbe", "X0SweepResult", "belief_metric",
-        "contraction_certificate", "contraction_check", "contraction_coefficient",
-        "eta_table", "two_period_identification_probe", "x0_sweep_estimate",
+        "contraction_certificate", "contraction_coefficient", "eta_table",
+        "two_period_identification_probe", "x0_sweep_estimate",
     ),
 }
 _HOME = {name: module for module, names in _SUBMODULES.items() for name in names}

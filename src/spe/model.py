@@ -90,7 +90,7 @@ class Belief:
             raise InvalidParams("belief must be a nonempty vector")
         if np.any(p < 0.0):
             raise InvalidParams("belief has negative entries")
-        if abs(p.sum() - 1.0) > _ROW_SUM_TOL:
+        if not abs(p.sum() - 1.0) <= _ROW_SUM_TOL:
             raise InvalidParams(f"belief sums to {p.sum()!r}, expected 1")
         p.setflags(write=False)
         object.__setattr__(self, "probs", p)

@@ -2,11 +2,13 @@
 and a two-period distinguishability probe.
 
 The projective-style metric D(x, x') = max{d(x, x'), d(x', x)} with
-d(x, x') = 1 - min{x(s) / x'(s) : x'(s) > 0} makes every Bayes update a
-contraction: one step shrinks D by at least the coefficient of ergodicity of
-the conditional transition matrix, computed from the posteriors of the
-simplex vertices. Repeated updates therefore forget the initial belief
-geometrically, which the sweep checks empirically on real estimates.
+d(x, x') = 1 - min{x(s) / x'(s) : x'(s) > 0} bounds one Bayes update: every
+posterior of a transition is a mixture of its live vertex posteriors, so any
+two posteriors lie within the largest D between those vertex posteriors, the
+transition's coefficient of ergodicity. The bound is on the output distance
+alone. D can grow in one update, so the bound neither scales with the input
+distance nor multiplies along a path; how fast estimates forget the initial
+belief is what the prior sweep measures.
 """
 from __future__ import annotations
 
@@ -21,7 +23,7 @@ from .estimator import stage2_policy_gradient
 from .likelihood import FilteredPath
 # Unused here; kept because the traced benchmark (bench/layers.py) wraps this name.
 from .likelihood import filter_dataset
-from .model import Belief, History, PomdpModel, SIGMA_FLOOR, lambda_update
+from .model import Belief, History, PomdpModel, SIGMA_FLOOR
 from .model import _belief_array, bayes_posterior, reachable_blocks
 
 
@@ -78,10 +80,9 @@ def eta_table(model: PomdpModel) -> np.ndarray:
 
 @dataclass(eq=False)
 class ContractionReport:
-    """Monte Carlo certificate for the one-step (or folded) contraction bound."""
+    """Monte Carlo certificate for the one-step contraction bound."""
 
     eta: np.ndarray          # (z', z, a), NaN where undefined
-    fold: int
     n_checked: int
     n_violations: int
     max_excess: float        # worst D_after - bound over all checks
@@ -95,67 +96,6 @@ class ContractionReport:
         return self.n_violations == 0
 
 
-def contraction_check(
-    model: PomdpModel,
-    fold: int = 1,
-    n_pairs: int = 100,
-    seed: int = 0,
-    slack: float = 1e-10,
-) -> ContractionReport:
-    """Verify D(update(x1), update(x2)) <= eta * D(x1, x2) on random pairs.
-
-    Random belief pairs are pushed through `fold` feasible update steps
-    (actions and successor observations drawn uniformly among those with
-    positive probability under both beliefs); after each step the posterior
-    distance is checked against the per-transition coefficient, and the
-    folded distance against the running product of coefficients, which is
-    itself at most eta_max ** fold. The bound is on the output distance
-    alone: the update is not Lipschitz in D, so eta * D(x1, x2) would be
-    a different (and false) claim.
-    """
-    rng = np.random.default_rng(seed)
-    etas = eta_table(model)
-    marg = model.kernel.sum(axis=-1)                  # (a, z, s, z')
-    n_checked = 0
-    n_violations = 0
-    max_excess = float("-inf")
-    for _ in range(n_pairs):
-        x1 = Belief(rng.dirichlet(np.ones(model.n_states)))
-        x2 = Belief(rng.dirichlet(np.ones(model.n_states)))
-        z = int(rng.integers(model.n_obs))
-        d_last = belief_metric(x1, x2)
-        eta_product = 1.0
-        steps_done = 0
-        for _ in range(fold):
-            a = int(rng.integers(model.n_actions))
-            row1 = x1.probs @ marg[a, z]
-            row2 = x2.probs @ marg[a, z]
-            feasible = np.flatnonzero((row1 >= SIGMA_FLOOR) & (row2 >= SIGMA_FLOOR))
-            if feasible.size == 0:
-                break
-            z2 = int(feasible[int(rng.integers(feasible.size))])
-            y1 = lambda_update(model, z2, z, x1, a)
-            y2 = lambda_update(model, z2, z, x2, a)
-            d_last = belief_metric(y1, y2)
-            eta_product *= etas[z2, z, a]
-            excess = d_last - etas[z2, z, a] - slack
-            max_excess = max(max_excess, excess)
-            n_checked += 1
-            if excess > 0.0:
-                n_violations += 1
-            x1, x2, z = y1, y2, z2
-            steps_done += 1
-        if steps_done == fold and fold > 1:
-            excess = d_last - eta_product - slack
-            max_excess = max(max_excess, excess)
-            n_checked += 1
-            if excess > 0.0:
-                n_violations += 1
-    return ContractionReport(
-        etas, fold, n_checked, n_violations, max_excess if n_checked else 0.0
-    )
-
-
 def contraction_certificate(
     model: PomdpModel,
     n_pairs: int = 10_000,
@@ -166,9 +106,8 @@ def contraction_certificate(
 
     Checks D(update(x1), update(x2)) <= eta(z', z, a) + slack for n_pairs
     random belief pairs per transition, fully vectorized; one pair batch is
-    drawn per (z, a) and shared across the successor observations. This is
-    the coarse form of the contraction bound (D of inputs is at most 1), so
-    it holds whenever the per-pair bound does.
+    drawn per (z, a) and shared across the successor observations. The bound
+    holds for every input pair, whatever their distance.
     """
     rng = np.random.default_rng(seed)
     etas = eta_table(model)
@@ -188,7 +127,7 @@ def contraction_certificate(
                 n_violations += int(np.count_nonzero(excess > 0.0))
                 max_excess = max(max_excess, float(excess.max()))
     return ContractionReport(
-        etas, 1, n_checked, n_violations, max_excess if n_checked else 0.0
+        etas, n_checked, n_violations, max_excess if n_checked else 0.0
     )
 
 
@@ -334,7 +273,8 @@ def two_period_identification_probe(
     Bayes update and scans the second period over (a1, z2). Two dynamics that
     agree on both periods from x0 are reported indistinguishable; when both
     kernels are rank one in every block the pair is flagged, since posterior
-    movement (which the two-period argument relies on) is absent.
+    movement (which the two-period argument relies on) is absent. x0 must be
+    a belief over the models' hidden states; tol = 0 compares exactly.
     """
     if (model_a.n_obs, model_a.n_states, model_a.n_actions) != (
         model_b.n_obs,
@@ -342,7 +282,11 @@ def two_period_identification_probe(
         model_b.n_actions,
     ):
         raise InvalidParams("models must share observation, state, and action spaces")
-    xs = _belief_array(x0)
+    if not tol >= 0.0:
+        raise InvalidParams(f"tol must be zero or positive, got {tol!r}")
+    xs = Belief(_belief_array(x0)).probs
+    if xs.size != model_a.n_states:
+        raise InvalidParams(f"x0 has {xs.size} entries for {model_a.n_states} hidden states")
     marg_a = model_a.kernel.sum(axis=-1)
     marg_b = model_b.kernel.sum(axis=-1)
     # First-period posteriors and observation probabilities, (z0, a0, z1, s').

@@ -333,6 +333,28 @@ def test_identify_probe_cli(tmp_path, capsys):
     assert "not distinguishable" in capsys.readouterr().out
 
 
+def test_identify_probe_rejects_bad_x0_and_tol(tmp_path, capsys):
+    ref = reference_params()
+    pa = tmp_path / "a.json"
+    pb = tmp_path / "b.json"
+    save_params(ref, pa)
+    save_params(dataclasses.replace(ref, persistence=np.array([0.9, 0.988])), pb)
+    for pair, extra in (
+        (pb, ["--x0", "0.5,0.6"]),
+        (pb, ["--x0", "1.5,-0.5"]),
+        (pb, ["--x0", "1"]),
+        (pb, ["--tol", "nan"]),
+        (pa, ["--tol", "-1"]),
+    ):
+        rc = run(["identify-probe", "--params-a", pa, "--params-b", pair, *extra])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error:")
+    # a zero tolerance is an exact comparison
+    rc = run(["identify-probe", "--params-a", pa, "--params-b", pa, "--tol", "0"])
+    assert rc == 0
+    assert "not distinguishable" in capsys.readouterr().out
+
+
 def test_identify_probe_needs_both_sides(tmp_path, capsys):
     ref = reference_params()
     pa = tmp_path / "a.json"

@@ -239,6 +239,8 @@ def test_belief_validation():
         Belief(np.array([0.6, 0.6]))
     with pytest.raises(InvalidParams):
         Belief(np.array([-0.1, 1.1]))
+    with pytest.raises(InvalidParams):
+        Belief(np.array([np.nan, np.nan]))
     u = Belief.uniform(4)
     assert u.probs.sum() == pytest.approx(1.0)
     p = Belief.point_mass(1, 3)

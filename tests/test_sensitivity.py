@@ -18,7 +18,6 @@ from spe import (
     belief_metric,
     build_engine_model,
     contraction_certificate,
-    contraction_check,
     contraction_coefficient,
     eta_table,
     filter_dataset,
@@ -31,7 +30,7 @@ from spe import (
     x0_sweep_estimate,
 )
 from spe.model import SIGMA_FLOOR
-from support import random_belief, sparse_random_model, two_state_hand_model
+from support import random_belief, random_model, sparse_random_model, two_state_hand_model
 
 
 def test_metric_worked_example():
@@ -134,17 +133,6 @@ def test_engine_filter_is_stable(engine_model):
     assert eta_max < 1.0
 
 
-def test_contraction_check_report(engine_model):
-    rep = contraction_check(engine_model, fold=1, n_pairs=50, seed=1)
-    assert rep.passed
-    assert rep.n_violations == 0
-    assert rep.n_checked > 0
-    assert rep.max_excess <= 0.0
-    folded = contraction_check(engine_model, fold=3, n_pairs=30, seed=2)
-    assert folded.passed
-    assert folded.fold == 3
-
-
 def test_contraction_certificate_dense(engine_model):
     rep = contraction_certificate(engine_model, n_pairs=200, seed=3)
     assert rep.passed
@@ -164,10 +152,42 @@ def test_engine_eta_table_frozen(engine_model):
     assert digest == "e3e59ed84a829a4a209ae4f389080f74725aed06d40f6d9e00a0764a3f89b38e"
 
 
-def test_hand_model_certificate():
-    m = two_state_hand_model()
-    rep = contraction_certificate(m, n_pairs=500, seed=4)
+@pytest.mark.parametrize(
+    "build",
+    [
+        pytest.param(two_state_hand_model, id="hand"),
+        pytest.param(lambda: random_model(27, n_states=2), id="random-2"),
+        pytest.param(lambda: random_model(27, n_states=3), id="random-3"),
+        pytest.param(lambda: sparse_random_model(5, 3), id="sparse-3"),
+    ],
+)
+def test_hand_model_certificate(build):
+    rep = contraction_certificate(build(), n_pairs=500, seed=4)
     assert rep.passed
+
+
+def test_distance_can_grow_in_one_update():
+    # why only the one-step bound is certified: D is not scaled by eta, and
+    # the coefficients do not multiply along a path
+    m = random_model(27, n_states=2)
+    eta = contraction_coefficient(m, 3, 2, 0)
+    assert eta == pytest.approx(0.99415, abs=1e-5)
+
+    def step(x1, x2, z_next, z):
+        return lambda_update(m, z_next, z, x1, 0), lambda_update(m, z_next, z, x2, 0)
+
+    x1, x2 = Belief(np.array([0.5, 0.5])), Belief(np.array([0.6, 0.4]))
+    assert belief_metric(x1, x2) == pytest.approx(0.2, abs=1e-12)
+    d_after = belief_metric(*step(x1, x2, 3, 2))
+    assert d_after == pytest.approx(0.2883, abs=1e-4)
+    assert d_after <= eta
+
+    # from the two vertices through z = 0 -> 2 -> 3: D ends above eta * eta'
+    ys = step(Belief.point_mass(0, 2), Belief.point_mass(1, 2), 2, 0)
+    d_two = belief_metric(*step(*ys, 3, 2))
+    assert contraction_coefficient(m, 2, 0, 0) * eta == pytest.approx(0.7640, abs=1e-4)
+    assert d_two == pytest.approx(0.9005, abs=1e-4)
+    assert d_two <= eta
 
 
 def test_sweep_validation(ref_params):
@@ -319,6 +339,26 @@ def test_probe_rank_one_pair_unidentifiable(ref_params):
     )
     assert not probe.distinguishable
     assert probe.rank1_pair
+
+
+@pytest.mark.parametrize(
+    "x0, tol",
+    [
+        ([0.5, 0.6], 1e-9),
+        ([1.5, -0.5], 1e-9),
+        ([np.nan, np.nan], 1e-9),
+        ([1.0], 1e-9),
+        ([0.2, 0.3, 0.5], 1e-9),
+        ([0.5, 0.5], -1.0),
+        ([0.5, 0.5], np.nan),
+    ],
+    ids=["sum-1.1", "negative", "nan", "one-entry", "three-entries", "tol-negative", "tol-nan"],
+)
+def test_probe_rejects_a_non_belief_or_a_bad_tolerance(x0, tol):
+    # a one-entry x0 would broadcast through the first-period einsum
+    m = two_state_hand_model()
+    with pytest.raises(InvalidParams):
+        two_period_identification_probe(m, m, x0, tol=tol)
 
 
 def test_probe_shape_mismatch():
