@@ -30,7 +30,8 @@ _SUBMODULES = {
     "likelihood": (
         "FilteredPath", "GradQTable", "LogLikelihood", "SmoothnessConstants",
         "filter_dataset", "grad_log_pi", "grad_q", "log_likelihood",
-        "observation_loglik", "pseudo_log_likelihood", "smoothness_constants",
+        "observation_loglik", "observation_score", "pseudo_log_likelihood",
+        "smoothness_constants",
     ),
     "estimator": (
         "EstimateReport", "EstimatorConfig", "Stage1Result", "Stage2Result",

@@ -8,7 +8,8 @@ inputs so runs can be traced.
 
 Threading: --threads (or the SPE_THREADS environment variable) caps the
 linear-algebra thread pools before the numerical stack is loaded. It only
-affects wall time, never results.
+affects wall time, never results. A value that is not a positive integer is
+a validation failure.
 """
 from __future__ import annotations
 
@@ -29,8 +30,20 @@ _THREAD_VARS = (
 )
 
 
+def _thread_count(flag: str | None) -> int | None:
+    """The thread cap from --threads, else SPE_THREADS; None when neither is set."""
+    source, text = "--threads", flag
+    if flag is None:
+        source, text = "SPE_THREADS", os.environ.get("SPE_THREADS", "")
+        if not text:
+            return None
+    if not (text.isascii() and text.isdigit() and int(text) > 0):
+        raise ValueError(f"{source} must be a positive integer, got {text!r}")
+    return int(text)
+
+
 def _set_threads(n: int | None) -> None:
-    if n is not None and n > 0:
+    if n is not None:
         for var in _THREAD_VARS:
             os.environ[var] = str(n)
 
@@ -306,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--threads",
-        type=int,
+        metavar="N",
         default=None,
         help="cap linear-algebra thread pools (default: SPE_THREADS or unlimited)",
     )
@@ -392,12 +405,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    threads = args.threads
-    if threads is None:
-        env = os.environ.get("SPE_THREADS")
-        threads = int(env) if env else None
-    _set_threads(threads)
     try:
+        _set_threads(_thread_count(args.threads))
         return args.func(args)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -165,9 +165,19 @@ def _anchored_logits(probs: np.ndarray) -> np.ndarray:
     return (logs - logs[-1])[:-1]
 
 
+def _anchored_softmax_jacobian(probs: np.ndarray) -> np.ndarray:
+    """d probs / d logits of _anchored_softmax, shape (n, n - 1)."""
+    return probs[:, None] * (np.eye(probs.size)[:, :-1] - probs[None, :-1])
+
+
 def _logit(p: np.ndarray) -> np.ndarray:
     p = np.clip(np.asarray(p, dtype=np.float64), 1e-12, 1.0 - 1e-12)
     return np.log(p) - np.log1p(-p)
+
+
+def _stay_matrix(pers: np.ndarray) -> np.ndarray:
+    """Condition transitions when keeping: stay at s with probability pers[s]."""
+    return np.array([[pers[0], 1.0 - pers[0]], [1.0 - pers[1], pers[1]]])
 
 
 class _EngineBase:
@@ -175,7 +185,8 @@ class _EngineBase:
 
     theta1 = (one cost slope per condition, replacement_cost) enters the
     reward table linearly. Each family defines build_kernel on its own class,
-    so a kernel build can be timed per family.
+    so a kernel build can be timed per family, and _chart_factors, the
+    kernel's two factors and their derivatives in the unconstrained chart.
     """
 
     n_actions = 2
@@ -210,6 +221,35 @@ class _EngineBase:
             reward=self.reward_tensor(theta1),
             discount=self.discount,
         )
+
+    def kernel_derivative(self, u: np.ndarray):
+        """Derivative of build_kernel(theta2_from_unconstrained(u)) in u, per block.
+
+        Returns (block_of, d_blocks): d_blocks[block_of[a, z, z']] is the
+        derivative of the block kernel[a, z, :, z', :] in u, shape (s, s', n_u).
+        Keeping from z reaches z' = min(z + d, top bin) for each increment d,
+        and every entry of that block is one increment mass (summed over the
+        increments that saturate at the top bin) times one persistence term,
+        so d_blocks holds one row per (z, d) and never the dense
+        (a, z, s, z', s', n_u) array. Blocks that do not move with u
+        (replacing, and unreachable usage) share the zero row 0.
+        """
+        stay, d_stay, inc, d_inc = self._chart_factors(np.asarray(u, dtype=np.float64))
+        n_s, n_u = d_stay.shape[1:]
+        n = self.n_mileage_bins
+        z = np.arange(n)[:, None]
+        d = np.arange(N_INCREMENTS)[None, :]
+        top = (z + d >= n - 1)[:, :, None]                   # (z, d, 1)
+        tail = np.cumsum(inc[:, ::-1], axis=1)[:, ::-1]      # mass of increments >= d
+        d_tail = np.cumsum(d_inc[:, ::-1], axis=1)[:, ::-1]
+        mass = np.where(top, tail.T, inc.T)                  # (z, d, s)
+        d_mass = np.where(top[..., None], d_tail.transpose(1, 0, 2), d_inc.transpose(1, 0, 2))
+        keep = d_mass[:, :, :, None, :] * stay[:, :, None] + mass[..., None, None] * d_stay
+        d_blocks = np.concatenate([np.zeros((1, n_s, n_s, n_u)), keep.reshape(-1, n_s, n_s, n_u)])
+        zz, dd = np.nonzero(z + d < n)
+        block_of = np.zeros((self.n_actions, n, n), dtype=np.int64)
+        block_of[0, zz, zz + dd] = 1 + zz * N_INCREMENTS + dd
+        return block_of, d_blocks
 
 
 class EngineFamily(_EngineBase):
@@ -261,10 +301,21 @@ class EngineFamily(_EngineBase):
         )
 
     def build_kernel(self, theta2: np.ndarray) -> np.ndarray:
-        pers = theta2[:2]
-        stay = np.array([[pers[0], 1.0 - pers[0]], [1.0 - pers[1], pers[1]]])
         increments = np.asarray(theta2[2:]).reshape(2, N_INCREMENTS)
-        return _engine_kernel(stay, increments, self.n_mileage_bins)
+        return _engine_kernel(_stay_matrix(theta2[:2]), increments, self.n_mileage_bins)
+
+    def _chart_factors(self, u: np.ndarray):
+        """(stay, d stay/du, increments, d increments/du) at chart point u."""
+        theta2 = self.theta2_from_unconstrained(u)
+        pers = theta2[:2]
+        inc = theta2[2:].reshape(2, N_INCREMENTS)
+        k = N_INCREMENTS - 1
+        d_stay = np.zeros((2, 2, u.size))
+        d_inc = np.zeros((2, N_INCREMENTS, u.size))
+        for s in range(2):
+            d_stay[s, :, s] = pers[s] * (1.0 - pers[s]) * np.where(np.arange(2) == s, 1.0, -1.0)
+            d_inc[s, :, 2 + s * k : 2 + (s + 1) * k] = _anchored_softmax_jacobian(inc[s])
+        return _stay_matrix(pers), d_stay, inc, d_inc
 
     def describe(self, theta1: np.ndarray, theta2: np.ndarray) -> dict:
         return {
@@ -299,6 +350,12 @@ class MdpEngineFamily(_EngineBase):
     def build_kernel(self, theta2: np.ndarray) -> np.ndarray:
         increments = np.asarray(theta2)[None, :]
         return _engine_kernel(np.ones((1, 1)), increments, self.n_mileage_bins)
+
+    def _chart_factors(self, u: np.ndarray):
+        """(stay, d stay/du, increments, d increments/du) at chart point u."""
+        inc = self.theta2_from_unconstrained(u)
+        d_inc = _anchored_softmax_jacobian(inc)[None]
+        return np.ones((1, 1)), np.zeros((1, 1, u.size)), inc[None, :], d_inc
 
     def describe(self, theta1: np.ndarray, theta2: np.ndarray) -> dict:
         return {

@@ -2,10 +2,12 @@
 
 Stage one maximizes the observation term of the likelihood over the dynamics
 parameters with a quasi-Newton method on an unconstrained reparameterization,
-refiltering beliefs at every trial point. Stage two freezes the filtered
-beliefs at the stage-one estimate and climbs the resulting pseudo-likelihood
-in the reward parameters by BHHH steps on the per-decision scores, which are
-assembled from the solved Q table and its parameter derivative.
+refiltering beliefs at every trial point; each pass also returns the exact
+score of the observation term (the filter's recursive score). Stage two
+freezes the filtered beliefs at the stage-one estimate and climbs the
+resulting pseudo-likelihood in the reward parameters by BHHH steps on the
+per-decision scores, which are assembled from the solved Q table and its
+parameter derivative.
 
 A family object supplies the parameterization (see spe.engine for the two
 shipped families):
@@ -17,6 +19,9 @@ shipped families):
 - build_model(theta1, theta2) and default_theta1(), which sizes theta1;
 - the dynamics chart default_theta2 / theta2_to_unconstrained /
   theta2_from_unconstrained;
+- kernel_derivative(u), the derivative of build_kernel in the chart
+  coordinates u, gathered per kernel block as (block_of, d_blocks), with
+  d_blocks[block_of[a, z, z']] the derivative of kernel[a, z, :, z', :];
 - describe(theta1, theta2), the labelled estimate for the report.
 """
 from __future__ import annotations
@@ -40,10 +45,11 @@ from .likelihood import (
     filter_dataset,
     filtered_obs_term,
     grad_q,
-    # Unused here; kept because the traced benchmark (bench/layers.py) wraps this name.
+    observation_score,
+    smoothness_constants,
+    # Unused here; kept because the traced benchmark (bench/layers.py) wraps these names.
     log_likelihood,
     observation_loglik,
-    smoothness_constants,
 )
 
 ARMIJO_SLOPE = 1e-4
@@ -163,11 +169,13 @@ def stage1_fit_theta2(
 ) -> Stage1Result:
     """Maximize the observation term over the dynamics parameters.
 
-    Quasi-Newton (L-BFGS) with central finite differences on the
-    unconstrained chart, started from config.theta2_init or the family
-    default; every trial point refilters the whole dataset from each
-    history's own initial belief. Vanished observation probabilities are
-    floored inside the search so the objective stays finite. burn_in drops
+    Quasi-Newton (L-BFGS) on the unconstrained chart, started from
+    config.theta2_init or the family default. Every trial point refilters
+    the whole dataset from each history's own initial belief, in one pass
+    that returns the objective and its exact gradient (observation_score with
+    the family's kernel_derivative). Vanished observation probabilities are
+    floored inside the search so the objective stays finite; a floored step
+    is a constant and adds nothing to the gradient. burn_in drops
     the first steps of each history from the objective, for the
     initial-belief sweep. The result carries the belief paths filtered at
     the estimate.
@@ -182,7 +190,10 @@ def stage1_fit_theta2(
 
     def negative_obs(u):
         kernel = family.build_kernel(family.theta2_from_unconstrained(u))
-        return -observation_loglik(kernel, blocks, burn_in=burn_in, penalize=True)
+        value, score = observation_score(
+            kernel, family.kernel_derivative(u), blocks, burn_in=burn_in, penalize=True
+        )
+        return -value, -score
 
     trace: list[float] = []
 
@@ -193,7 +204,7 @@ def stage1_fit_theta2(
         negative_obs,
         family.theta2_to_unconstrained(theta2_0),
         method="L-BFGS-B",
-        jac="3-point",
+        jac=True,
         callback=record,
         options={"maxiter": config.stage1_max_iters},
     )

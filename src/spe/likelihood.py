@@ -88,11 +88,22 @@ def _scan_block(
     burn_in: int,
     penalize: bool,
     store: bool,
+    kernel_grad=None,
 ):
-    """Filter one block. Returns (obs_loglik, beliefs or None, sigmas or None).
+    """Filter one block. Returns (obs_loglik, beliefs, sigmas, score).
 
-    With penalize=True a vanished observation contributes log(SIGMA_FLOOR) and
-    filtering continues from a uniform belief; otherwise it raises.
+    beliefs and sigmas are None unless store is set. With penalize=True a
+    vanished observation contributes log(SIGMA_FLOOR) and filtering continues
+    from a uniform belief; otherwise it raises.
+
+    kernel_grad = (block_of, d_blocks), with d_blocks[block_of[a, z, z']] the
+    derivative of kernel[a, z, :, z', :] in parameters u, makes the scan carry
+    dx_t/du beside the belief and return the score d obs_loglik/du (the
+    recursive score of the filter). With numer = x T and sigma = sum numer:
+    d numer = dx T + x dT, d sigma = sum d numer, dx' = (d numer - x' d sigma)
+    / sigma and d log sigma = d sigma / sigma. A floored step is a constant and
+    restarts from a constant belief, so it adds 0 to the score and resets dx.
+    Initial beliefs do not depend on u. Without kernel_grad the score is None.
     """
     b, horizon = acts.shape
     n_s = x0.shape[1]
@@ -101,10 +112,25 @@ def _scan_block(
     sigmas = np.empty((b, horizon)) if store else None
     if store:
         beliefs[:, 0, :] = x
+    score = None
+    if kernel_grad is not None:
+        block_of, d_blocks = kernel_grad
+        step_blocks = block_of[acts, obs[:, :-1], obs[:, 1:]]       # (b, T)
+        # The tangent keeps histories on its last axis, (s, n_u, b), so each
+        # operation runs along the batch and not along the short state axes.
+        d_rows = np.ascontiguousarray(np.moveaxis(d_blocks, 0, -1))  # (s, s', n_u, rows)
+        score = np.zeros(d_blocks.shape[-1])
+        dx = np.zeros((n_s, score.size, b))
     total = 0.0
     for t in range(horizon):
         trans = kernel[acts[:, t], obs[:, t], :, obs[:, t + 1], :]   # (b, s, s')
-        x, sig, live = bayes_posterior(np.einsum("bs,bst->bt", x, trans))
+        numer = np.einsum("bs,bst->bt", x, trans)
+        if score is not None:
+            d_trans = np.take(d_rows, step_blocks[:, t], axis=-1)   # (s, s', n_u, b)
+            d_numer = np.einsum(
+                "jub,jkb->kub", dx, np.ascontiguousarray(trans.transpose(1, 2, 0))
+            ) + np.einsum("jb,jkub->kub", np.ascontiguousarray(x.T), d_trans)
+        x, sig, live = bayes_posterior(numer)
         if not penalize and not np.all(live):
             bad = int(np.flatnonzero(~live)[0])
             raise ZeroObservationProbability(
@@ -114,11 +140,19 @@ def _scan_block(
             )
         if t >= burn_in:
             total += float(np.log(sig).sum())
+        if score is not None:
+            if not np.all(live):
+                d_numer[:, :, ~live] = 0.0
+            d_sig = d_numer.sum(axis=0)                               # (n_u, b)
+            inv_sig = 1.0 / sig
+            dx = (d_numer - x.T[:, None, :] * d_sig) * inv_sig
+            if t >= burn_in:
+                score += d_sig @ inv_sig
         if store:
             sigmas[:, t] = sig
             if t + 1 < horizon:
                 beliefs[:, t + 1, :] = x
-    return total, beliefs, sigmas
+    return total, beliefs, sigmas, score
 
 
 def filter_dataset(model: PomdpModel, histories: list[History]) -> list[FilteredPath]:
@@ -127,7 +161,7 @@ def filter_dataset(model: PomdpModel, histories: list[History]) -> list[Filtered
     out: list[FilteredPath | None] = [None] * len(histories)
     key = model.content_key()
     for idx, obs, acts, x0 in blocks.blocks:
-        _, beliefs, sigmas = _scan_block(
+        _, beliefs, sigmas, _ = _scan_block(
             model.kernel, idx, obs, acts, x0, burn_in=0, penalize=False, store=True
         )
         for j, i in enumerate(idx):
@@ -152,7 +186,26 @@ def observation_loglik(
     x0_override replaces every initial belief; the benchmark scores the prior
     sweep's fits with it (bench/workloads.py).
     """
+    return observation_score(kernel, None, blocks, burn_in, penalize, x0_override)[0]
+
+
+def observation_score(
+    kernel: np.ndarray,
+    kernel_grad,
+    blocks: DatasetBlocks,
+    burn_in: int = 0,
+    penalize: bool = False,
+    x0_override: np.ndarray | None = None,
+):
+    """observation_loglik and its exact gradient, from one filter pass.
+
+    kernel_grad = (block_of, d_blocks) is the kernel's derivative in the
+    parameters u, gathered per block as a family's kernel_derivative returns
+    it. Returns (value, score) with score of shape (n_u,), or None when
+    kernel_grad is None.
+    """
     total = 0.0
+    score = None if kernel_grad is None else np.zeros(kernel_grad[1].shape[-1])
     for idx, obs, acts, x0 in blocks.blocks:
         if burn_in > 0 and burn_in >= acts.shape[1]:
             raise InvalidParams(
@@ -160,9 +213,11 @@ def observation_loglik(
             )
         if x0_override is not None:
             x0 = np.broadcast_to(x0_override, x0.shape)
-        t, _, _ = _scan_block(kernel, idx, obs, acts, x0, burn_in, penalize, store=False)
+        t, _, _, g = _scan_block(kernel, idx, obs, acts, x0, burn_in, penalize, False, kernel_grad)
         total += t
-    return float(total)
+        if score is not None:
+            score += g
+    return float(total), score
 
 
 @dataclass(frozen=True)

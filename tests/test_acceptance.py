@@ -98,6 +98,25 @@ def test_criterion_1_parameter_recovery(fit, truth):
     assert float(dev1.max()) <= 0.08
 
 
+# Stage-1 estimate of the seed-4 fleet by L-BFGS with central finite
+# differences, before the exact score replaced them.
+STAGE1_THETA2 = np.array([
+    0.94960791, 0.98789963,
+    0.03691760, 0.33234568, 0.59449725, 0.03623947,
+    0.18231950, 0.75280974, 0.06361593, 0.00125483,
+])
+
+
+def test_criterion_1_stage1_optimum_from_the_symmetric_start(fit):
+    # stage 1 starts where the two conditions cannot be told apart (equal
+    # persistences, equal increment rows), and the persistence score is 0
+    # there; it must still leave that subspace for the optimum
+    assert fit.config.theta2_init is None
+    assert fit.stage1.converged
+    assert fit.stage1.obs_loglik == pytest.approx(-39_904.584, abs=1e-3)
+    np.testing.assert_allclose(fit.stage1.theta2, STAGE1_THETA2, rtol=0, atol=1e-4)
+
+
 def test_criterion_1_every_action_is_observed(fit):
     # an action the data never shows leaves its reward without a finite
     # maximizer, and `spe estimate` warns on a zero count; here none is zero

@@ -89,6 +89,34 @@ def test_threads_flag_is_numerically_inert(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+@pytest.mark.parametrize(
+    "env, flag",
+    [("abc", None), ("0", None), ("-3", None), ("1.5", None),
+     (None, "-2"), (None, "0"), (None, "abc"), ("2", "x")],
+)
+def test_threads_must_be_a_positive_integer(tmp_path, capsys, monkeypatch, env, flag):
+    if env is None:
+        monkeypatch.delenv("SPE_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("SPE_THREADS", env)
+    out = tmp_path / "f.jsonl"
+    argv = ["simulate", "--n", "2", "--t", "5", "--seed", "1", "--out", out]
+    rc = run(argv + (["--threads", flag] if flag is not None else []))
+    assert rc == 1
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and ("--threads" if flag else "SPE_THREADS") in err
+
+
+def test_spe_threads_sets_the_pools(tmp_path, monkeypatch):
+    monkeypatch.setenv("SPE_THREADS", "1")
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS"):
+        monkeypatch.delenv(var, raising=False)
+    assert run(["simulate", "--n", "2", "--t", "5", "--seed", "1",
+                "--out", tmp_path / "f.jsonl"]) == 0
+    assert os.environ["OMP_NUM_THREADS"] == os.environ["OPENBLAS_NUM_THREADS"] == "1"
+
+
 def test_cli_import_leaves_numpy_unloaded():
     # --threads can only size the BLAS pools if numpy loads after main() starts
     env = {**os.environ, "PYTHONPATH": str(Path(spe.__file__).resolve().parents[1])}

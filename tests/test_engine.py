@@ -331,6 +331,27 @@ def test_reward_tensor_is_affine_in_theta1(family):
             family.reward_tensor(np.zeros(wrong))
 
 
+@pytest.mark.parametrize("family", [EngineFamily(7), MdpEngineFamily(7)], ids=type)
+def test_kernel_derivative_matches_central_differences(family):
+    # seven usage bins, so the increments that saturate at the top bin are covered
+    def kernel_at(u):
+        return family.build_kernel(family.theta2_from_unconstrained(u))
+
+    rng = np.random.default_rng(8)
+    u = rng.normal(size=family.theta2_to_unconstrained(family.default_theta2()).size)
+    block_of, d_blocks = family.kernel_derivative(u)
+    n_s = family.n_states
+    assert block_of.shape == (2, 7, 7) and d_blocks.shape == (29, n_s, n_s, u.size)
+    assert not d_blocks[0].any()
+    dense = d_blocks[block_of].transpose(0, 1, 3, 2, 4, 5)   # (a, z, s, z', s', u)
+    h = 1e-6
+    for j in range(u.size):
+        step = np.zeros(u.size)
+        step[j] = h
+        fd = (kernel_at(u + step) - kernel_at(u - step)) / (2.0 * h)
+        np.testing.assert_allclose(dense[..., j], fd, atol=1e-9)
+
+
 def test_mdp_family_shapes():
     family = MdpEngineFamily()
     assert family.n_states == 1

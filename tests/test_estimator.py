@@ -96,13 +96,13 @@ def test_stage1_trace_costs_no_extra_filter_pass(small_fleet, small_config, monk
     # dataset is filtered once per objective evaluation and not again per
     # iteration
     passes = []
-    filter_pass = estimator.observation_loglik
+    filter_pass = estimator.observation_score
 
     def counted(*args, **kwargs):
         passes.append(1)
         return filter_pass(*args, **kwargs)
 
-    monkeypatch.setattr(estimator, "observation_loglik", counted)
+    monkeypatch.setattr(estimator, "observation_score", counted)
     s1 = stage1_fit_theta2(small_fleet, EngineFamily(), small_config)
     assert len(passes) == s1.n_evals
     assert len(s1.trace) >= 2 and all(type(v) is float for v in s1.trace)

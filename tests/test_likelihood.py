@@ -16,12 +16,20 @@ from spe import (
     lambda_update,
     log_likelihood,
     observation_loglik,
+    observation_score,
     pseudo_log_likelihood,
     sigma,
     solve,
 )
 from spe.likelihood import DatasetBlocks
-from support import apply_lambda_M, random_belief, random_model, two_state_hand_model
+from spe.model import SIGMA_FLOOR
+from support import (
+    apply_lambda_M,
+    random_belief,
+    random_model,
+    sparse_random_model,
+    two_state_hand_model,
+)
 
 
 def simulate_crude(model, rng, horizon, x0=None):
@@ -222,6 +230,59 @@ def test_penalized_filter_floors_and_continues():
     val = observation_loglik(m.kernel, blocks, penalize=True)
     assert np.isfinite(val)
     assert val < np.log(1e-6)   # floored step dominates
+
+
+def _one_direction(direction: np.ndarray):
+    """A kernel direction D as observation_score's (block_of, d_blocks), one parameter."""
+    n_a, n_z, n_s = direction.shape[:3]
+    block_of = np.arange(n_a * n_z * n_z).reshape(n_a, n_z, n_z)
+    return block_of, direction.transpose(0, 1, 3, 2, 4).reshape(-1, n_s, n_s, 1)
+
+
+@pytest.mark.parametrize("burn_in", [0, 3])
+@pytest.mark.parametrize("n_states", [1, 2, 3])
+def test_tangent_filter_matches_central_differences(n_states, burn_in):
+    m = sparse_random_model(seed=10 + n_states, n_states=n_states)
+    rng = np.random.default_rng(n_states)
+    hs = [simulate_crude(m, rng, t) for t in (6, 9, 9, 12)]
+    blocks = DatasetBlocks.from_histories(hs, m)
+    # scaling the kernel entry by entry keeps its support, so K +- hD stays a
+    # nonnegative kernel under which the data remain possible
+    direction = m.kernel * rng.standard_normal(m.kernel.shape)
+    value, score = observation_score(m.kernel, _one_direction(direction), blocks, burn_in)
+    assert value == observation_loglik(m.kernel, blocks, burn_in)
+    h = 1e-6
+    up = observation_loglik(m.kernel + h * direction, blocks, burn_in)
+    down = observation_loglik(m.kernel - h * direction, blocks, burn_in)
+    assert score.shape == (1,)
+    assert score[0] == pytest.approx((up - down) / (2.0 * h), rel=1e-6)
+
+
+def test_floored_steps_add_nothing_to_the_score():
+    # observation 0 is impossible from either observation: every move to 0 is
+    # floored, and the filter restarts from the uniform belief
+    kernel = np.zeros((1, 2, 2, 2, 2))
+    kernel[0, :, :, 1, :] = 0.5
+    m = PomdpModel(2, 2, 1, kernel, np.zeros((1, 2, 2)), 0.9)
+    # a direction that moves the impossible blocks too
+    grad = _one_direction(np.random.default_rng(3).standard_normal(kernel.shape))
+    acts = np.zeros(3, dtype=np.int64)
+
+    def score_of(*histories):
+        return observation_score(
+            m.kernel, grad, DatasetBlocks.from_histories(list(histories), m), penalize=True
+        )
+
+    dead = History(Belief(np.array([0.3, 0.7])), np.array([1, 0, 0, 0]), acts)
+    value, score = score_of(dead)
+    assert value == pytest.approx(3 * np.log(SIGMA_FLOOR))
+    assert score[0] == 0.0
+    live = History(Belief(np.array([0.8, 0.2])), np.array([0, 1, 1, 1]), acts)
+    assert score_of(live, dead)[1][0] == pytest.approx(score_of(live)[1][0], rel=1e-14)
+    # after a floored step the tangent restarts at 0 with the uniform belief
+    restart = History(Belief(np.array([0.8, 0.2])), np.array([1, 0, 1, 1]), acts)
+    fresh = History(Belief.uniform(2), np.array([0, 1, 1]), acts[:2])
+    assert score_of(restart)[1][0] == pytest.approx(score_of(fresh)[1][0], rel=1e-14)
 
 
 def test_mixed_horizon_blocks_group_and_sum():
