@@ -10,8 +10,9 @@ successor values are evaluated by barycentric interpolation on the grid. The
 successor weights are assembled once into a sparse matrix discount * W with
 rows (z, x, a) and columns (z', node), so a sweep is one log-sum-exp and one
 sparse product. The sweep is a sup-norm contraction with modulus equal to the
-discount factor, so fixed-point iteration converges geometrically; the same
-span-corrected loop solves Q here and its parameter gradient in likelihood.
+discount factor, so span-corrected fixed-point iteration converges
+geometrically. Its parameter gradient is linear in Q's successors, and
+likelihood.grad_q solves it directly with a sparse LU over the same matrix.
 """
 from __future__ import annotations
 
@@ -82,56 +83,6 @@ def _logsumexp_actions(values: np.ndarray) -> np.ndarray:
 def _softmax_actions(values: np.ndarray) -> np.ndarray:
     """Choice probabilities along the trailing action axis."""
     return np.exp(values - _logsumexp_actions(values)[..., None])
-
-
-def _step_spans(x_next: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-    """Per-component max and min of a step along the trailing axis, and its sup norm."""
-    p = x.shape[-1]
-    # Reduce over a contiguous (component, entry) layout: a strided reduction
-    # over the leading axes costs more than the sweep itself.
-    step = np.subtract(x_next.reshape(-1, p).T, x.reshape(-1, p).T, order="C")
-    d_max, d_min = step.max(axis=1), step.min(axis=1)
-    return d_max, d_min, max(float(d_max.max()), -float(d_min.min()))
-
-
-def _span_corrected_iteration(sweep, x: np.ndarray, beta: float, tol: float, max_iter, what: str):
-    """Iterate x <- sweep(x) until one sweep moves no entry by more than tol.
-
-    x carries a trailing component axis, and sweep shifts a constant added to
-    one component by beta times that constant (an affine map whose successor
-    weights sum to one). Once the span of a component's step is small, its
-    remaining offset therefore solves to beta/(1 - beta) times the midpoint of
-    the step; the corrected iterate is accepted only after a verification
-    sweep confirms the residual. Returns (x, sweeps, residual) and raises
-    MaxIterExceeded when the cap is hit with the residual above tol.
-    """
-    if not tol > 0.0:
-        raise InvalidParams("tol must be positive")
-    span_gate = tol * (1.0 - beta)
-    x_next = sweep(x)
-    d_max, d_min, residual = _step_spans(x_next, x)
-    if max_iter is None:
-        if residual <= tol or beta == 0.0:
-            max_iter = 2
-        else:
-            # Geometric decay reaches tol * (1 - beta) within this many sweeps.
-            max_iter = int(np.ceil(np.log(span_gate / residual) / np.log(beta))) + 10
-    it = 1
-    while residual > tol:
-        if it >= max_iter:
-            raise MaxIterExceeded(
-                f"{what} residual {residual:.3e} above tol {tol:.1e} after {it} sweeps",
-                residual=residual,
-                iterations=it,
-            )
-        corrected = beta > 0.0 and float(np.max(d_max - d_min)) <= span_gate
-        x = x_next + beta / (1.0 - beta) * 0.5 * (d_max + d_min) if corrected else x_next
-        x_next = sweep(x)
-        it += 1
-        d_max, d_min, residual = _step_spans(x_next, x)
-        if corrected and residual <= tol:
-            return x, it, residual
-    return x_next, it, residual
 
 
 class BellmanSolver:
@@ -208,19 +159,42 @@ class BellmanSolver:
     ) -> tuple[np.ndarray, int, float]:
         """Span-corrected fixed-point iteration to sup-norm residual <= tol.
 
-        Returns (values, sweeps, residual). Raises MaxIterExceeded when the
-        cap is hit with the residual still above tolerance.
+        A sweep shifts a constant added to Q by discount times that constant
+        (each row's successor weights sum to one). Once the span of a step is
+        small, the remaining offset therefore solves to beta/(1 - beta) times
+        the midpoint of the step; the corrected iterate is accepted only after
+        a verification sweep confirms the residual. Returns (values, sweeps,
+        residual). Raises MaxIterExceeded when the cap is hit with the residual
+        still above tolerance.
         """
+        if not tol > 0.0:
+            raise InvalidParams("tol must be positive")
+        beta = self.model.discount
+        span_gate = tol * (1.0 - beta)
         q = np.zeros_like(self.node_rewards) if q0 is None else np.asarray(q0, dtype=np.float64)
-        values, sweeps, residual = _span_corrected_iteration(
-            lambda x: self.apply(x[..., 0], node_rewards)[..., None],
-            q[..., None],
-            self.model.discount,
-            tol,
-            max_iter,
-            "Bellman",
-        )
-        return values[..., 0], sweeps, residual
+        q_next = self.apply(q, node_rewards)
+        sweeps, corrected = 1, False
+        while True:
+            step = q_next - q
+            d_max, d_min = float(step.max()), float(step.min())
+            residual = max(d_max, -d_min)
+            if residual <= tol:
+                return (q if corrected else q_next), sweeps, residual
+            if max_iter is None and beta == 0.0:
+                max_iter = 2
+            elif max_iter is None:
+                # Geometric decay reaches tol * (1 - beta) within this many sweeps.
+                max_iter = int(np.ceil(np.log(span_gate / residual) / np.log(beta))) + 10
+            if sweeps >= max_iter:
+                raise MaxIterExceeded(
+                    f"Bellman residual {residual:.3e} above tol {tol:.1e} after {sweeps} sweeps",
+                    residual=residual,
+                    iterations=sweeps,
+                )
+            corrected = beta > 0.0 and d_max - d_min <= span_gate
+            q = q_next + beta / (1.0 - beta) * 0.5 * (d_max + d_min) if corrected else q_next
+            q_next = self.apply(q, node_rewards)
+            sweeps += 1
 
 
 @dataclass(frozen=True, eq=False)

@@ -526,6 +526,10 @@ def load_dataset(path) -> list:
                 raise ParseError(f"line {lineno}: {exc}", line=lineno) from None
             if not isinstance(rec, dict) or not {"x0", "z", "a"} <= set(rec):
                 raise SchemaError(f"line {lineno}: record must carry x0, z, and a")
+            for key in ("z", "a"):
+                # bool is a subclass of int; a float or string entry would be cast silently.
+                if not isinstance(rec[key], list) or any(type(v) is not int for v in rec[key]):
+                    raise SchemaError(f"line {lineno}: {key} must be a list of integers")
             obs = np.asarray(rec["z"], dtype=np.int64)
             acts = np.asarray(rec["a"], dtype=np.int64)
             if obs.size != acts.size + 1:

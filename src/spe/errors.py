@@ -22,7 +22,10 @@ class ZeroObservationProbability(EstimationError):
 
 
 class MaxIterExceeded(EstimationError):
-    """An iterative solver hit its iteration cap before reaching tolerance."""
+    """A solver missed its tolerance.
+
+    An iterative solver hit its iteration cap, or a direct solve's residual is above tol.
+    """
 
     def __init__(self, message: str, residual: float, iterations: int):
         super().__init__(message)

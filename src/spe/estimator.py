@@ -26,6 +26,7 @@ shipped families):
 """
 from __future__ import annotations
 
+import numbers
 import time
 import warnings
 from dataclasses import asdict, dataclass, field
@@ -78,18 +79,21 @@ class EstimatorConfig:
     theta2_init: tuple | None = None
 
     def __post_init__(self):
-        if not (self.grad_norm_tol > 0.0):
-            raise ValueError("grad_norm_tol must be positive")
-        if self.step_size is not None and not (self.step_size > 0.0):
-            raise ValueError("step_size must be positive when fixed")
-        for name in ("bellman_tol", "grad_q_tol"):
-            if not (getattr(self, name) > 0.0):
+        # bool is a subclass of int, so True would pass for a number.
+        for name, least in (("grid_resolution", 2), ("max_stage2_iters", 0), ("stage1_max_iters", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < least:
+                raise ValueError(f"{name} must be at least {least}")
+        for name in ("bellman_tol", "grad_q_tol", "grad_norm_tol", "step_size"):
+            value = getattr(self, name)
+            if name == "step_size" and value is None:
+                continue
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
+            if not value > 0.0:
                 raise ValueError(f"{name} must be positive")
-        if self.grid_resolution < 2:
-            raise ValueError("grid_resolution must be at least 2")
-        for name in ("max_stage2_iters", "stage1_max_iters"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must not be negative")
 
 
 @dataclass(eq=False)
@@ -272,17 +276,14 @@ def stage2_policy_gradient(
     loglik_trace: list[float] = [float(ll_cur)]    # every iterate, the start included
     grad_norm_trace: list[float] = []
     step_sizes: list[float] = []
-    g_warm = None
     converged = False
 
     for k in range(config.max_stage2_iters):
         if not np.isfinite(ll_cur):
             raise NonFiniteObjective(f"pseudo-likelihood is {ll_cur!r} at iterate {k}")
         qtable = QTable(q_cur, grid, key, model.euler_gamma)
-        g_warm = grad_q(
-            model, reward_grad, qtable, tol=config.grad_q_tol, solver=solver, g0=g_warm
-        ).values
-        _, scores = points.grad_sum_log_pi(q_cur, g_warm)
+        gq = grad_q(model, reward_grad, qtable, tol=config.grad_q_tol, solver=solver)
+        _, scores = points.grad_sum_log_pi(q_cur, gq.values)
         grad = scores.sum(axis=0)
         gnorm = float(np.linalg.norm(grad))
         grad_norm_trace.append(gnorm)

@@ -223,6 +223,8 @@ def save_model(model: PomdpModel, path) -> None:
 def load_model(path) -> PomdpModel:
     with open(path) as fh:
         payload = json.load(fh)
+    if not isinstance(payload, dict):
+        raise InvalidParams("model file must hold a JSON object")
     try:
         return PomdpModel(
             n_states=int(payload["n_states"]),

@@ -188,6 +188,12 @@ def test_max_iter_exceeded():
         solve(m, resolution=9, tol=1e-12, max_iter=3)
     assert exc.value.iterations == 3
     assert exc.value.residual > 0.0
+    # the direct grad-Q solve refuses a result whose residual is above tol
+    q = solve(m, resolution=9, tol=1e-12).qtable
+    basis = np.random.default_rng(1).normal(size=(*m.reward.shape, 2))
+    with pytest.raises(MaxIterExceeded, match="grad-Q") as exc:
+        grad_q(m, basis, q, tol=1e-300)
+    assert exc.value.residual > 1e-300
 
 
 @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan")])

@@ -237,6 +237,24 @@ def test_config_file_rejects_unknown_field(tiny_dataset, tmp_path, capsys):
     assert "unknown config fields" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, payload",
+    [
+        ("estimate --config", {"max_stage2_iters": 2.5}),
+        ("estimate --config", {"grad_norm_tol": "1e-3"}),
+        ("estimate --config", {"grid_resolution": True}),
+        ("evaluate --model", [1, 2]),
+    ],
+)
+def test_wrong_typed_files_are_an_error(tiny_dataset, tmp_path, capsys, command, payload):
+    # each of these used to end in a TypeError traceback
+    path = tmp_path / "file.json"
+    path.write_text(json.dumps(payload))
+    subcommand, flag = command.split()
+    assert run([subcommand, "--data", tiny_dataset, flag, path]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_evaluate_at_reference(tiny_dataset, tmp_path, capsys):
     out = tmp_path / "eval.json"
     rc = run(["evaluate", "--data", tiny_dataset, "--grid-resolution", "41",

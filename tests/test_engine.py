@@ -252,6 +252,33 @@ def test_dataset_parse_errors(tmp_path):
         load_dataset(path)
     path.write_text("\n\n")
     assert load_dataset(path) == []
+    path.write_text('{"x0": [1.0, 0.0], "z": [3], "a": []}\n')
+    (h,) = load_dataset(path)
+    assert h.horizon == 0
+
+
+@pytest.mark.parametrize(
+    "key, entries",
+    [
+        ("z", "[0, 1.7, 2]"),
+        ("z", "[0, 1.0, 2]"),
+        ("z", '[0, "1", 2]'),
+        ("z", "[0, true, 2]"),
+        ("a", "[0.5, 0]"),
+        ("a", '["0", 0]'),
+        ("a", "[false, 0]"),
+    ],
+)
+def test_dataset_entries_must_be_json_integers(tmp_path, key, entries):
+    # a float, string or boolean entry used to be cast to an integer silently
+    fields = {"z": "[0, 1, 2]", "a": "[0, 0]", key: entries}
+    path = tmp_path / "bad.jsonl"
+    path.write_text(
+        '{"x0": [1.0, 0.0], "z": [0, 1, 2], "a": [0, 0]}\n'
+        f'{{"x0": [1.0, 0.0], "z": {fields["z"]}, "a": {fields["a"]}}}\n'
+    )
+    with pytest.raises(SchemaError, match=f"line 2: {key} must be a list of integers"):
+        load_dataset(path)
 
 
 def test_debug_sidecar_alignment(tmp_path, ref_params):

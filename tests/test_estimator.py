@@ -360,6 +360,14 @@ def test_config_validation():
         EstimatorConfig(stage1_max_iters=-1)
     with pytest.raises(ValueError):
         EstimatorConfig(max_stage2_iters=-1)
+    with pytest.raises(ValueError, match="must be an integer"):
+        EstimatorConfig(max_stage2_iters=2.5)
+    with pytest.raises(ValueError, match="must be an integer"):
+        EstimatorConfig(stage1_max_iters=True)
+    with pytest.raises(ValueError, match="must be a real number"):
+        EstimatorConfig(grad_norm_tol="1e-3")
+    with pytest.raises(ValueError, match="must be a real number"):
+        EstimatorConfig(step_size=False)
 
 
 @pytest.mark.parametrize(

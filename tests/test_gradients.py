@@ -32,9 +32,8 @@ def with_reward(model: PomdpModel, reward: np.ndarray) -> PomdpModel:
     )
 
 
-@pytest.fixture(scope="module")
-def probe_setup():
-    model = random_model(seed=19, n_states=2, n_obs=3, n_actions=2, discount=0.9)
+def _probe(discount):
+    model = random_model(seed=19, n_states=2, n_obs=3, n_actions=2, discount=discount)
     rng = np.random.default_rng(42)
     basis = rng.normal(size=(model.n_actions, model.n_obs, model.n_states, 3))
     grid = BeliefGrid.create(2, 31)
@@ -45,18 +44,27 @@ def probe_setup():
     return model, basis, grid, theta0, m0, q0, g0
 
 
+@pytest.fixture(scope="module")
+def probe_setup():
+    return _probe(0.9)
+
+
 def test_grad_q_matches_central_differences(probe_setup):
-    model, basis, grid, theta0, m0, q0, g0 = probe_setup
-    h = 1e-5
-    for p in range(3):
-        step = np.zeros(3)
-        step[p] = h
-        up = with_reward(model, parametrized_reward(model, theta0 + step, basis))
-        dn = with_reward(model, parametrized_reward(model, theta0 - step, basis))
-        qu = solve(up, grid=grid, tol=1e-12, q0=q0).qtable
-        qd = solve(dn, grid=grid, tol=1e-12, q0=q0).qtable
-        fd = (qu.values - qd.values) / (2.0 * h)
-        np.testing.assert_allclose(g0.values[:, :, :, p], fd, atol=5e-7)
+    # A solve to tol leaves Q off by up to about tol / (1 - beta), so at 0.99
+    # the differences take a longer step between tighter solves.
+    for (model, basis, grid, theta0, m0, q0, g0), h, tol in (
+        (probe_setup, 1e-5, 1e-12),
+        (_probe(0.99), 1e-4, 1e-13),
+    ):
+        for p in range(3):
+            step = np.zeros(3)
+            step[p] = h
+            up = with_reward(model, parametrized_reward(model, theta0 + step, basis))
+            dn = with_reward(model, parametrized_reward(model, theta0 - step, basis))
+            qu = solve(up, grid=grid, tol=tol, q0=q0).qtable
+            qd = solve(dn, grid=grid, tol=tol, q0=q0).qtable
+            fd = (qu.values - qd.values) / (2.0 * h)
+            np.testing.assert_allclose(g0.values[:, :, :, p], fd, atol=5e-7)
 
 
 def test_grad_log_pi_matches_central_differences(probe_setup):
@@ -197,7 +205,19 @@ def test_grad_q_bound(probe_setup):
     assert float(np.max(np.abs(g0.values))) <= bound + 1e-9
 
 
-def test_grad_q_warm_start(probe_setup):
-    model, basis, grid, theta0, m0, q0, g0 = probe_setup
-    again = grad_q(m0, basis, q0, tol=1e-11, g0=g0.values)
-    np.testing.assert_allclose(again.values, g0.values, atol=1e-9)
+@pytest.mark.parametrize("discount", [0.95, 0.99])
+@pytest.mark.parametrize("n_states", [1, 2, 3])
+def test_grad_q_solves_the_policy_averaged_fixed_point(n_states, discount):
+    # g = grad r + discount * W sum_a pi(a) g(a), checked by one sweep built
+    # here from the softmax of Q, apart from the direct solve
+    model = random_model(seed=n_states, n_states=n_states, discount=discount)
+    rng = np.random.default_rng(n_states)
+    basis = rng.normal(size=(*model.reward.shape, 2))
+    grid = BeliefGrid.create(n_states, 9)
+    q = solve(model, grid=grid, tol=1e-12).qtable
+    g = grad_q(model, basis, q, tol=1e-10).values
+    pis = np.exp(q.values - q.values.max(axis=-1, keepdims=True))
+    pis /= pis.sum(axis=-1, keepdims=True)
+    avg = np.einsum("zga,zgap->zgp", pis, g).reshape(-1, 2)
+    fixed = np.einsum("azsp,gs->zgap", basis, grid.nodes) + BellmanSolver(model, grid).propagate_stack(avg)
+    assert float(np.max(np.abs(g - fixed))) <= 1e-10
