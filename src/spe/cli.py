@@ -243,6 +243,8 @@ def cmd_bellman_solve(args) -> int:
 
 
 def cmd_sensitivity(args) -> int:
+    import numpy as np
+
     from .engine import EngineFamily, load_dataset
     from .sensitivity import x0_sweep_estimate
 
@@ -250,14 +252,9 @@ def cmd_sensitivity(args) -> int:
     config = _resolve_config(args)
     family = EngineFamily(n_mileage_bins=args.bins, discount=args.discount)
     m_values = [int(m) for m in args.m.split(",")]
-    candidates = None
-    if args.candidates != 11:
-        import numpy as np
-
-        p = np.linspace(0.0, 1.0, args.candidates)
-        candidates = np.stack([p, 1.0 - p], axis=1)
+    p = np.linspace(0.0, 1.0, args.candidates)
     result = x0_sweep_estimate(
-        histories, family, config, m_values=m_values, candidates=candidates
+        histories, family, config, m_values=m_values, candidates=np.stack([p, 1.0 - p], axis=1)
     )
     csv_text = result.to_csv()
     with open(args.out, "w") as fh:

@@ -53,17 +53,17 @@ class EngineParams:
         pers = np.asarray(self.persistence, dtype=np.float64)
         inc = np.asarray(self.increments, dtype=np.float64)
         slopes = np.asarray(self.cost_slopes, dtype=np.float64)
-        if pers.shape != (2,) or np.any(pers < 0.0) or np.any(pers > 1.0):
+        if pers.shape != (2,) or not np.all((pers >= 0.0) & (pers <= 1.0)):
             raise InvalidParams("persistence must be two probabilities")
-        if inc.shape != (2, N_INCREMENTS) or np.any(inc < 0.0):
+        if inc.shape != (2, N_INCREMENTS) or not np.all(inc >= 0.0):
             raise InvalidParams(f"increments must be nonnegative with shape (2, {N_INCREMENTS})")
-        if np.max(np.abs(inc.sum(axis=1) - 1.0)) > _ROW_TOL:
+        if not np.max(np.abs(inc.sum(axis=1) - 1.0)) <= _ROW_TOL:
             raise InvalidParams("increment rows must sum to 1")
         if slopes.shape != (2,) or not np.all(np.isfinite(slopes)):
             raise InvalidParams("cost_slopes must be two finite numbers")
         if not (self.replacement_cost > 0.0):
             raise InvalidParams("replacement_cost must be positive")
-        if self.n_mileage_bins < N_INCREMENTS:
+        if not self.n_mileage_bins >= N_INCREMENTS:
             raise InvalidParams(f"need at least {N_INCREMENTS} usage bins")
         for name, arr in (("persistence", pers), ("increments", inc), ("cost_slopes", slopes)):
             arr = np.ascontiguousarray(arr)
@@ -112,39 +112,42 @@ def load_params(path) -> EngineParams:
     missing = {"persistence", "increments", "cost_slopes", "replacement_cost"} - set(payload)
     if missing:
         raise InvalidParams(f"missing parameter fields: {sorted(missing)}")
+    n_bins = payload.get("n_mileage_bins", 120)
+    if type(n_bins) is not int:   # not a float, which int() truncates, nor a bool
+        raise InvalidParams(f"n_mileage_bins must be an integer, got {n_bins!r}")
     return EngineParams(
         persistence=np.asarray(payload["persistence"], dtype=np.float64),
         increments=np.asarray(payload["increments"], dtype=np.float64),
         cost_slopes=np.asarray(payload["cost_slopes"], dtype=np.float64),
         replacement_cost=float(payload["replacement_cost"]),
-        n_mileage_bins=int(payload.get("n_mileage_bins", 120)),
+        n_mileage_bins=n_bins,
     )
 
 
-def _increment_mass(increments_row: np.ndarray, n_bins: int) -> np.ndarray:
-    """Usage transition matrix (z, z') for one condition; the top bin saturates."""
-    out = np.zeros((n_bins, n_bins))
-    z = np.arange(n_bins)
-    # Within one increment the targets are distinct, and the saturated top
-    # bin sums its masses in increment order.
+def _usage_masses(inc: np.ndarray, n_bins: int) -> np.ndarray:
+    """Mass of the keep move z -> min(z + d, top bin), (z, d, s, ...) from inc (s, d, ...)."""
+    tail = np.zeros_like(inc)   # top-bin sums, in increment order as pinned kernel bytes need
     for d in range(N_INCREMENTS):
-        out[z, np.minimum(z + d, n_bins - 1)] += increments_row[d]
-    return out
+        tail[:, : d + 1] += inc[:, d : d + 1]
+    top = np.arange(n_bins)[:, None] + np.arange(N_INCREMENTS) >= n_bins - 1
+    top = top.reshape(top.shape + (1,) * (inc.ndim - 1))
+    return np.where(top, np.moveaxis(tail, 0, 1), np.moveaxis(inc, 0, 1))
 
 
-def _engine_kernel(stay: np.ndarray, increments: np.ndarray, n_bins: int) -> np.ndarray:
-    """Joint kernel (a, z, s, z', s') from condition persistence and usage increments.
+def _engine_blocks(stay: np.ndarray, increments: np.ndarray, n_bins: int):
+    """Block table of the joint kernel: blocks[block_of[a, z, z']] is kernel[a, z, :, z', :].
 
-    Keeping moves usage by increments[s] and the condition by stay[s];
-    replacing resets both to (0, 0).
+    Row 0 is the zero block, row 1 replacing (a reset to (0, 0)), then one
+    keep block per (z, d): usage mass under increments[s] times stay[s, s'].
     """
-    n_s = stay.shape[0]
-    kernel = np.zeros((2, n_bins, n_s, n_bins, n_s))
-    for s in range(n_s):
-        usage = _increment_mass(increments[s], n_bins)
-        kernel[0, :, s, :, :] = usage[:, :, None] * stay[s][None, None, :]
-    kernel[1, :, :, 0, 0] = 1.0
-    return kernel
+    keep = _usage_masses(increments, n_bins)[..., None] * stay      # (z, d, s, s')
+    blocks = np.concatenate([np.zeros((2,) + stay.shape), keep.reshape((-1,) + stay.shape)])
+    blocks[1, :, 0] = 1.0
+    zz, dd = np.nonzero(np.arange(n_bins)[:, None] + np.arange(N_INCREMENTS) < n_bins)
+    block_of = np.zeros((2, n_bins, n_bins), dtype=np.int64)
+    block_of[0, zz, zz + dd] = 2 + zz * N_INCREMENTS + dd
+    block_of[1, :, 0] = 1
+    return block_of, blocks
 
 
 def build_engine_model(params: EngineParams, discount: float = 0.95) -> PomdpModel:
@@ -222,34 +225,20 @@ class _EngineBase:
             discount=self.discount,
         )
 
-    def kernel_derivative(self, u: np.ndarray):
-        """Derivative of build_kernel(theta2_from_unconstrained(u)) in u, per block.
+    def kernel_blocks(self, u: np.ndarray):
+        """(block_of, blocks, d_blocks) of build_kernel(theta2_from_unconstrained(u)).
 
-        Returns (block_of, d_blocks): d_blocks[block_of[a, z, z']] is the
-        derivative of the block kernel[a, z, :, z', :] in u, shape (s, s', n_u).
-        Keeping from z reaches z' = min(z + d, top bin) for each increment d,
-        and every entry of that block is one increment mass (summed over the
-        increments that saturate at the top bin) times one persistence term,
-        so d_blocks holds one row per (z, d) and never the dense
-        (a, z, s, z', s', n_u) array. Blocks that do not move with u
-        (replacing, and unreachable usage) share the zero row 0.
+        blocks[block_of[a, z, z']] is kernel[a, z, :, z', :] bit for bit, and
+        d_blocks of the same row its derivative in u, shape (s, s', n_u).
         """
         stay, d_stay, inc, d_inc = self._chart_factors(np.asarray(u, dtype=np.float64))
-        n_s, n_u = d_stay.shape[1:]
         n = self.n_mileage_bins
-        z = np.arange(n)[:, None]
-        d = np.arange(N_INCREMENTS)[None, :]
-        top = (z + d >= n - 1)[:, :, None]                   # (z, d, 1)
-        tail = np.cumsum(inc[:, ::-1], axis=1)[:, ::-1]      # mass of increments >= d
-        d_tail = np.cumsum(d_inc[:, ::-1], axis=1)[:, ::-1]
-        mass = np.where(top, tail.T, inc.T)                  # (z, d, s)
-        d_mass = np.where(top[..., None], d_tail.transpose(1, 0, 2), d_inc.transpose(1, 0, 2))
-        keep = d_mass[:, :, :, None, :] * stay[:, :, None] + mass[..., None, None] * d_stay
-        d_blocks = np.concatenate([np.zeros((1, n_s, n_s, n_u)), keep.reshape(-1, n_s, n_s, n_u)])
-        zz, dd = np.nonzero(z + d < n)
-        block_of = np.zeros((self.n_actions, n, n), dtype=np.int64)
-        block_of[0, zz, zz + dd] = 1 + zz * N_INCREMENTS + dd
-        return block_of, d_blocks
+        block_of, blocks = _engine_blocks(stay, inc, n)
+        mass, d_mass = _usage_masses(inc, n), _usage_masses(d_inc, n)
+        d_keep = d_mass[:, :, :, None, :] * stay[:, :, None] + mass[..., None, None] * d_stay
+        d_blocks = np.zeros(blocks.shape + (d_stay.shape[-1],))
+        d_blocks[2:] = d_keep.reshape(d_blocks[2:].shape)
+        return block_of, blocks, d_blocks
 
 
 class EngineFamily(_EngineBase):
@@ -302,7 +291,8 @@ class EngineFamily(_EngineBase):
 
     def build_kernel(self, theta2: np.ndarray) -> np.ndarray:
         increments = np.asarray(theta2[2:]).reshape(2, N_INCREMENTS)
-        return _engine_kernel(_stay_matrix(theta2[:2]), increments, self.n_mileage_bins)
+        block_of, blocks = _engine_blocks(_stay_matrix(theta2[:2]), increments, self.n_mileage_bins)
+        return np.ascontiguousarray(blocks[block_of].transpose(0, 1, 3, 2, 4))
 
     def _chart_factors(self, u: np.ndarray):
         """(stay, d stay/du, increments, d increments/du) at chart point u."""
@@ -349,7 +339,8 @@ class MdpEngineFamily(_EngineBase):
 
     def build_kernel(self, theta2: np.ndarray) -> np.ndarray:
         increments = np.asarray(theta2)[None, :]
-        return _engine_kernel(np.ones((1, 1)), increments, self.n_mileage_bins)
+        block_of, blocks = _engine_blocks(np.ones((1, 1)), increments, self.n_mileage_bins)
+        return np.ascontiguousarray(blocks[block_of].transpose(0, 1, 3, 2, 4))
 
     def _chart_factors(self, u: np.ndarray):
         """(stay, d stay/du, increments, d increments/du) at chart point u."""

@@ -12,16 +12,16 @@ parameter derivative.
 A family object supplies the parameterization (see spe.engine for the two
 shipped families):
 
-- n_states and discount;
+- n_states, n_obs, n_actions and discount;
 - build_kernel(theta2), the joint kernel (a, z, s, z', s');
 - reward_tensor(theta1), the reward table (a, z, s), which must be affine
   in theta1: stage two reads its gradient table off reward_tensor once;
 - build_model(theta1, theta2) and default_theta1(), which sizes theta1;
 - the dynamics chart default_theta2 / theta2_to_unconstrained /
   theta2_from_unconstrained;
-- kernel_derivative(u), the derivative of build_kernel in the chart
-  coordinates u, gathered per kernel block as (block_of, d_blocks), with
-  d_blocks[block_of[a, z, z']] the derivative of kernel[a, z, :, z', :];
+- kernel_blocks(u), the kernel at chart point u and its derivative in u
+  as one block table (block_of, blocks, d_blocks), blocks[block_of[a, z, z']]
+  being kernel[a, z, :, z', :]; stage one filters on it alone;
 - describe(theta1, theta2), the labelled estimate for the report.
 """
 from __future__ import annotations
@@ -176,27 +176,24 @@ def stage1_fit_theta2(
     Quasi-Newton (L-BFGS) on the unconstrained chart, started from
     config.theta2_init or the family default. Every trial point refilters
     the whole dataset from each history's own initial belief, in one pass
-    that returns the objective and its exact gradient (observation_score with
-    the family's kernel_derivative). Vanished observation probabilities are
-    floored inside the search so the objective stays finite; a floored step
-    is a constant and adds nothing to the gradient. burn_in drops
-    the first steps of each history from the objective, for the
-    initial-belief sweep. The result carries the belief paths filtered at
-    the estimate.
+    that returns the objective and its exact gradient (observation_score on
+    the family's kernel_blocks, with no dense kernel). Vanished observation
+    probabilities are floored inside the search so the objective stays
+    finite; a floored step is a constant and adds nothing to the gradient.
+    burn_in drops the first steps of each history from the objective, for
+    the initial-belief sweep. The result carries the belief paths filtered
+    at the estimate.
     """
     theta2_0 = (
         np.asarray(config.theta2_init, dtype=np.float64)
         if config.theta2_init is not None
         else family.default_theta2()
     )
-    probe = family.build_model(family.default_theta1(), theta2_0)
-    blocks = DatasetBlocks.from_histories(histories, probe)
+    family.build_model(family.default_theta1(), theta2_0)   # refuses a start that is no kernel
+    blocks = DatasetBlocks.from_histories(histories, family)
 
     def negative_obs(u):
-        kernel = family.build_kernel(family.theta2_from_unconstrained(u))
-        value, score = observation_score(
-            kernel, family.kernel_derivative(u), blocks, burn_in=burn_in, penalize=True
-        )
+        value, score = observation_score(family.kernel_blocks(u), blocks, burn_in, penalize=True)
         return -value, -score
 
     trace: list[float] = []

@@ -55,7 +55,8 @@ class DatasetBlocks:
     n_states: int
 
     @classmethod
-    def from_histories(cls, histories: list[History], model: PomdpModel) -> "DatasetBlocks":
+    def from_histories(cls, histories: list[History], model) -> "DatasetBlocks":
+        """Only n_obs, n_actions and n_states are read: model may be a family."""
         by_t: dict[int, list[int]] = {}
         for i, h in enumerate(histories):
             h.validate_against(model)
@@ -82,8 +83,15 @@ class DatasetBlocks:
         return sum(acts.shape[0] * acts.shape[1] for _, _, acts, _ in self.blocks)
 
 
+def _dense_blocks(kernel: np.ndarray):
+    """A dense kernel (a, z, s, z', s') as a block table, every (a, z, z') its own block."""
+    n_a, n_z, n_s = kernel.shape[:3]
+    block_of = np.arange(n_a * n_z * n_z).reshape(n_a, n_z, n_z)
+    return block_of, kernel.transpose(0, 1, 3, 2, 4).reshape(-1, n_s, n_s), None
+
+
 def _scan_block(
-    kernel: np.ndarray,
+    kernel_blocks,
     idx: np.ndarray,
     obs: np.ndarray,
     acts: np.ndarray,
@@ -91,23 +99,25 @@ def _scan_block(
     burn_in: int,
     penalize: bool,
     store: bool,
-    kernel_grad=None,
 ):
     """Filter one block. Returns (obs_loglik, beliefs, sigmas, score).
 
+    kernel_blocks = (block_of, blocks, d_blocks): blocks[block_of[a, z, z']]
+    is kernel[a, z, :, z', :] and d_blocks of the same row its derivative in
+    parameters u, or None; each step reads both through one row per history.
     beliefs and sigmas are None unless store is set. With penalize=True a
     vanished observation contributes log(SIGMA_FLOOR) and filtering continues
     from a uniform belief; otherwise it raises.
 
-    kernel_grad = (block_of, d_blocks), with d_blocks[block_of[a, z, z']] the
-    derivative of kernel[a, z, :, z', :] in parameters u, makes the scan carry
-    dx_t/du beside the belief and return the score d obs_loglik/du (the
-    recursive score of the filter). With numer = x T and sigma = sum numer:
-    d numer = dx T + x dT, d sigma = sum d numer, dx' = (d numer - x' d sigma)
-    / sigma and d log sigma = d sigma / sigma. A floored step is a constant and
-    restarts from a constant belief, so it adds 0 to the score and resets dx.
-    Initial beliefs do not depend on u. Without kernel_grad the score is None.
+    d_blocks makes the scan carry dx_t/du beside the belief and return the
+    score d obs_loglik/du (the recursive score of the filter); else the score
+    is None. With numer = x T and sigma = sum numer: d numer = dx T + x dT,
+    d sigma = sum d numer, dx' = (d numer - x' d sigma) / sigma and
+    d log sigma = d sigma / sigma. A floored step is a constant and restarts
+    from a constant belief, so it adds 0 to the score and resets dx. Initial
+    beliefs do not depend on u.
     """
+    block_of, blocks, d_blocks = kernel_blocks
     b, horizon = acts.shape
     n_s = x0.shape[1]
     x = x0.copy()
@@ -115,10 +125,9 @@ def _scan_block(
     sigmas = np.empty((b, horizon)) if store else None
     if store:
         beliefs[:, 0, :] = x
+    step_blocks = block_of[acts, obs[:, :-1], obs[:, 1:]]           # (b, T)
     score = None
-    if kernel_grad is not None:
-        block_of, d_blocks = kernel_grad
-        step_blocks = block_of[acts, obs[:, :-1], obs[:, 1:]]       # (b, T)
+    if d_blocks is not None:
         # The tangent keeps histories on its last axis, (s, n_u, b), so each
         # operation runs along the batch and not along the short state axes.
         d_rows = np.ascontiguousarray(np.moveaxis(d_blocks, 0, -1))  # (s, s', n_u, rows)
@@ -126,7 +135,7 @@ def _scan_block(
         dx = np.zeros((n_s, score.size, b))
     total = 0.0
     for t in range(horizon):
-        trans = kernel[acts[:, t], obs[:, t], :, obs[:, t + 1], :]   # (b, s, s')
+        trans = blocks[step_blocks[:, t]]                            # (b, s, s')
         numer = np.einsum("bs,bst->bt", x, trans)
         if score is not None:
             d_trans = np.take(d_rows, step_blocks[:, t], axis=-1)   # (s, s', n_u, b)
@@ -163,9 +172,10 @@ def filter_dataset(model: PomdpModel, histories: list[History]) -> list[Filtered
     blocks = DatasetBlocks.from_histories(histories, model)
     out: list[FilteredPath | None] = [None] * len(histories)
     key = model.content_key()
+    kernel_blocks = _dense_blocks(model.kernel)
     for idx, obs, acts, x0 in blocks.blocks:
         _, beliefs, sigmas, _ = _scan_block(
-            model.kernel, idx, obs, acts, x0, burn_in=0, penalize=False, store=True
+            kernel_blocks, idx, obs, acts, x0, burn_in=0, penalize=False, store=True
         )
         for j, i in enumerate(idx):
             out[int(i)] = FilteredPath(beliefs[j].copy(), sigmas[j].copy(), key)
@@ -189,12 +199,11 @@ def observation_loglik(
     x0_override replaces every initial belief; the benchmark scores the prior
     sweep's fits with it (bench/workloads.py).
     """
-    return observation_score(kernel, None, blocks, burn_in, penalize, x0_override)[0]
+    return observation_score(_dense_blocks(kernel), blocks, burn_in, penalize, x0_override)[0]
 
 
 def observation_score(
-    kernel: np.ndarray,
-    kernel_grad,
+    kernel_blocks,
     blocks: DatasetBlocks,
     burn_in: int = 0,
     penalize: bool = False,
@@ -202,13 +211,13 @@ def observation_score(
 ):
     """observation_loglik and its exact gradient, from one filter pass.
 
-    kernel_grad = (block_of, d_blocks) is the kernel's derivative in the
-    parameters u, gathered per block as a family's kernel_derivative returns
-    it. Returns (value, score) with score of shape (n_u,), or None when
-    kernel_grad is None.
+    kernel_blocks = (block_of, blocks, d_blocks) is the kernel and its
+    derivative in the parameters u as one block table, as a family's
+    kernel_blocks returns it. Returns (value, score) with score of shape
+    (n_u,), or None when d_blocks is None.
     """
     total = 0.0
-    score = None if kernel_grad is None else np.zeros(kernel_grad[1].shape[-1])
+    score = None if kernel_blocks[2] is None else np.zeros(kernel_blocks[2].shape[-1])
     for idx, obs, acts, x0 in blocks.blocks:
         if burn_in > 0 and burn_in >= acts.shape[1]:
             raise InvalidParams(
@@ -216,7 +225,7 @@ def observation_score(
             )
         if x0_override is not None:
             x0 = np.broadcast_to(x0_override, x0.shape)
-        t, _, _, g = _scan_block(kernel, idx, obs, acts, x0, burn_in, penalize, False, kernel_grad)
+        t, _, _, g = _scan_block(kernel_blocks, idx, obs, acts, x0, burn_in, penalize, False)
         total += t
         if score is not None:
             score += g

@@ -53,10 +53,12 @@ class PomdpModel:
             raise InvalidParams(f"reward shape {reward.shape} != {(a, z, s)}")
         if not np.all(np.isfinite(reward)):
             raise InvalidParams("reward table contains non-finite entries")
-        if np.any(kernel < 0.0):
+        if not np.all(np.isfinite(kernel)):
+            raise InvalidParams("kernel contains non-finite entries")
+        if not np.all(kernel >= 0.0):
             raise InvalidParams("kernel has negative entries")
         row_sums = kernel.reshape(a, z, s, z * s).sum(axis=-1)
-        if np.max(np.abs(row_sums - 1.0)) > _ROW_SUM_TOL:
+        if not np.max(np.abs(row_sums - 1.0)) <= _ROW_SUM_TOL:
             worst = float(np.max(np.abs(row_sums - 1.0)))
             raise InvalidParams(f"kernel rows must sum to 1 (worst drift {worst:.3e})")
         if not (0.0 <= self.discount < 1.0):

@@ -293,6 +293,29 @@ def test_bellman_solve_rejects_non_positive_tol(tmp_path, capsys, tol):
     assert capsys.readouterr().err.startswith("error: tol must be positive")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bellman-solve", "--resolution", "5"],
+        ["evaluate", "--grid-resolution", "5"],
+        ["simulate", "--n", "2", "--t", "3", "--seed", "1"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_nan_params_are_an_error(tiny_dataset, tmp_path, capsys, argv):
+    # json reads the NaN literal; these commands used to solve, score -inf or crash
+    params = tmp_path / "params.json"
+    save_params(reference_params(), params)
+    payload = json.loads(params.read_text())
+    payload["persistence"] = [float("nan"), 0.988]
+    params.write_text(json.dumps(payload))
+    out = tmp_path / "out.json"
+    extra = ["--data", tiny_dataset] if argv[0] == "evaluate" else []
+    assert run(argv + extra + ["--params", params, "--out", out]) == 1
+    assert not out.exists()
+    assert capsys.readouterr().err.startswith("error: persistence must be two probabilities")
+
+
 @pytest.mark.parametrize("resolution", ["0", "1"])
 def test_grid_resolution_below_two_is_an_error(tiny_dataset, tmp_path, capsys, resolution):
     out = tmp_path / "out.jsonl"

@@ -126,6 +126,31 @@ def test_params_file_validation(tmp_path):
         load_params(path)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("persistence", [np.nan, 0.988]),
+        ("increments", [[0.039, 0.333, np.nan, 0.038], [0.181, 0.757, 0.061, 0.001]]),
+        ("n_mileage_bins", np.nan),
+    ],
+)
+def test_params_refuse_nan(ref_params, field, value):
+    with pytest.raises(InvalidParams):
+        dataclasses.replace(ref_params, **{field: np.asarray(value)})
+
+
+@pytest.mark.parametrize("bins", [12.7, 12.0, True, "12"])
+def test_params_file_needs_an_integer_bin_count(tmp_path, ref_params, bins):
+    # a fractional bin count used to be truncated to 12
+    path = tmp_path / "params.json"
+    save_params(ref_params, path)
+    payload = json.loads(path.read_text())
+    payload["n_mileage_bins"] = bins
+    path.write_text(json.dumps(payload))
+    with pytest.raises(InvalidParams, match="n_mileage_bins must be an integer"):
+        load_params(path)
+
+
 def test_params_validation():
     with pytest.raises(InvalidParams):
         dataclasses.replace(reference_params(), replacement_cost=-1.0)
@@ -358,18 +383,27 @@ def test_reward_tensor_is_affine_in_theta1(family):
             family.reward_tensor(np.zeros(wrong))
 
 
-@pytest.mark.parametrize("family", [EngineFamily(7), MdpEngineFamily(7)], ids=type)
-def test_kernel_derivative_matches_central_differences(family):
-    # seven usage bins, so the increments that saturate at the top bin are covered
+@pytest.mark.parametrize("n_bins", [7, 120])
+@pytest.mark.parametrize("family_type", [EngineFamily, MdpEngineFamily], ids=lambda t: t.__name__)
+def test_kernel_blocks_match_build_kernel_and_central_differences(family_type, n_bins):
+    # seven usage bins, so the increments that saturate at the top bin are
+    # covered from most bins; 120 is the default model
+    family = family_type(n_bins)
+
     def kernel_at(u):
         return family.build_kernel(family.theta2_from_unconstrained(u))
 
     rng = np.random.default_rng(8)
     u = rng.normal(size=family.theta2_to_unconstrained(family.default_theta2()).size)
-    block_of, d_blocks = family.kernel_derivative(u)
+    block_of, blocks, d_blocks = family.kernel_blocks(u)
     n_s = family.n_states
-    assert block_of.shape == (2, 7, 7) and d_blocks.shape == (29, n_s, n_s, u.size)
-    assert not d_blocks[0].any()
+    rows = 2 + 4 * n_bins
+    assert block_of.shape == (2, n_bins, n_bins)
+    assert blocks.shape == (rows, n_s, n_s) and d_blocks.shape == (rows, n_s, n_s, u.size)
+    assert not blocks[0].any() and not d_blocks[:2].any()
+    # the block table is the kernel, bit for bit
+    gathered = np.ascontiguousarray(blocks[block_of].transpose(0, 1, 3, 2, 4))
+    assert gathered.tobytes() == kernel_at(u).tobytes()
     dense = d_blocks[block_of].transpose(0, 1, 3, 2, 4, 5)   # (a, z, s, z', s', u)
     h = 1e-6
     for j in range(u.size):

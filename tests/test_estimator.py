@@ -110,6 +110,44 @@ def test_stage1_trace_costs_no_extra_filter_pass(small_fleet, small_config, monk
     assert np.all(np.diff(s1.trace) >= 0.0)
 
 
+def test_stage1_objective_builds_no_dense_kernel(small_fleet, small_config, monkeypatch):
+    # every pass filters on the family's kernel blocks; build_kernel runs
+    # only outside the search, to check the start and for the final paths
+    builds = []
+    build_kernel = EngineFamily.build_kernel
+
+    def counted(self, theta2):
+        builds.append(1)
+        return build_kernel(self, theta2)
+
+    inside = []
+    search = estimator.minimize
+
+    def counted_search(*args, **kwargs):
+        before = len(builds)
+        res = search(*args, **kwargs)
+        inside.append(len(builds) - before)
+        return res
+
+    monkeypatch.setattr(EngineFamily, "build_kernel", counted)
+    monkeypatch.setattr(estimator, "minimize", counted_search)
+    s1 = stage1_fit_theta2(small_fleet, EngineFamily(), small_config)
+    assert s1.n_evals >= 2
+    assert inside == [0]
+    assert len(builds) >= 1
+
+
+@pytest.mark.parametrize(
+    "theta2_init",
+    [(1.5, 0.9) + (0.25,) * 8, (0.9, 0.9) + (0.5,) * 4 + (0.25,) * 4, (np.nan, 0.9) + (0.25,) * 8],
+)
+def test_stage1_refuses_a_start_outside_the_parameter_space(small_fleet, small_config, theta2_init):
+    # a config file can set theta2_init; the chart would move a bad start into range unseen
+    config = dataclasses.replace(small_config, theta2_init=theta2_init)
+    with pytest.raises(InvalidParams):
+        stage1_fit_theta2(small_fleet, EngineFamily(), config)
+
+
 def test_backtracking_ascent_is_monotone(small_report):
     trace = np.asarray(small_report.stage2.loglik_trace)
     assert np.all(np.diff(trace) >= -1e-9)

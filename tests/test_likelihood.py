@@ -232,11 +232,15 @@ def test_penalized_filter_floors_and_continues():
     assert val < np.log(1e-6)   # floored step dominates
 
 
-def _one_direction(direction: np.ndarray):
-    """A kernel direction D as observation_score's (block_of, d_blocks), one parameter."""
-    n_a, n_z, n_s = direction.shape[:3]
+def _one_direction(kernel: np.ndarray, direction: np.ndarray):
+    """Kernel K and direction D as observation_score's dense block table, one parameter."""
+    n_a, n_z, n_s = kernel.shape[:3]
     block_of = np.arange(n_a * n_z * n_z).reshape(n_a, n_z, n_z)
-    return block_of, direction.transpose(0, 1, 3, 2, 4).reshape(-1, n_s, n_s, 1)
+
+    def rows(k):
+        return k.transpose(0, 1, 3, 2, 4).reshape(-1, n_s, n_s)
+
+    return block_of, rows(kernel), rows(direction)[..., None]
 
 
 @pytest.mark.parametrize("burn_in", [0, 3])
@@ -249,7 +253,7 @@ def test_tangent_filter_matches_central_differences(n_states, burn_in):
     # scaling the kernel entry by entry keeps its support, so K +- hD stays a
     # nonnegative kernel under which the data remain possible
     direction = m.kernel * rng.standard_normal(m.kernel.shape)
-    value, score = observation_score(m.kernel, _one_direction(direction), blocks, burn_in)
+    value, score = observation_score(_one_direction(m.kernel, direction), blocks, burn_in)
     assert value == observation_loglik(m.kernel, blocks, burn_in)
     h = 1e-6
     up = observation_loglik(m.kernel + h * direction, blocks, burn_in)
@@ -265,12 +269,12 @@ def test_floored_steps_add_nothing_to_the_score():
     kernel[0, :, :, 1, :] = 0.5
     m = PomdpModel(2, 2, 1, kernel, np.zeros((1, 2, 2)), 0.9)
     # a direction that moves the impossible blocks too
-    grad = _one_direction(np.random.default_rng(3).standard_normal(kernel.shape))
+    table = _one_direction(m.kernel, np.random.default_rng(3).standard_normal(kernel.shape))
     acts = np.zeros(3, dtype=np.int64)
 
     def score_of(*histories):
         return observation_score(
-            m.kernel, grad, DatasetBlocks.from_histories(list(histories), m), penalize=True
+            table, DatasetBlocks.from_histories(list(histories), m), penalize=True
         )
 
     dead = History(Belief(np.array([0.3, 0.7])), np.array([1, 0, 0, 0]), acts)

@@ -234,6 +234,15 @@ def test_model_validation():
         PomdpModel(2, 2, 1, bad, reward, 0.9)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_model_refuses_non_finite_kernel_entries(value):
+    # NaN fails both "< 0" and "> tol", so a NaN kernel used to pass both checks
+    kernel = np.full((1, 2, 2, 2, 2), 0.25)
+    kernel[0, 1, 0, 0, 1] = value
+    with pytest.raises(InvalidParams, match="non-finite"):
+        PomdpModel(2, 2, 1, kernel, np.zeros((1, 2, 2)), 0.9)
+
+
 def test_belief_validation():
     with pytest.raises(InvalidParams):
         Belief(np.array([0.6, 0.6]))
