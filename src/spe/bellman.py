@@ -25,7 +25,7 @@ from scipy import sparse
 
 from .errors import InvalidParams, MaxIterExceeded
 from .grid import BeliefGrid
-from .model import EULER_GAMMA, PomdpModel, bayes_posterior, reachable_blocks
+from .model import EULER_GAMMA, PomdpModel, bayes_posterior, block_table, json_number
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,8 +88,8 @@ def _softmax_actions(values: np.ndarray) -> np.ndarray:
 class BellmanSolver:
     """Precomputed sweep structure for one (model dynamics, grid) pair.
 
-    One batched Bayes update of every grid node through every reachable
-    kernel block (z, a, z') gives the observation probabilities and the
+    One batched Bayes update of every grid node through every row of
+    model.block_table gives the observation probabilities and the
     interpolation indices/weights of the updated beliefs (flat_idx, weights).
     Nodes whose observation probability is below the floor get weight 0.
     The rows are then assembled into one sparse matrix discount * W over the
@@ -104,8 +104,9 @@ class BellmanSolver:
         n_z, n_a, n_s = model.n_obs, model.n_actions, model.n_states
         g = grid.n_nodes
 
-        z, a, z2 = reachable_blocks(model)
-        lam, sig, live = bayes_posterior(grid.nodes @ model.kernel[a, z, :, z2, :])  # (blocks, g, s)
+        block_of, blocks = block_table(model.kernel)
+        z, a, z2 = np.nonzero(block_of.transpose(1, 0, 2))
+        lam, sig, live = bayes_posterior(grid.nodes @ blocks[1:])    # (blocks, g, s)
         idx, w = grid.interpolate_many(lam.reshape(-1, n_s))
         w = np.where(live.reshape(-1, 1), w * sig.reshape(-1, 1), 0.0)
         # A block's slot is its rank among the blocks of its (z, a).
@@ -263,7 +264,9 @@ def save_qtable(q: QTable, path) -> None:
 def load_qtable(path) -> QTable:
     with open(path) as fh:
         payload = json.load(fh)
-    grid = BeliefGrid.create(int(payload["n_states"]), int(payload["resolution"]))
+    if not isinstance(payload, dict):
+        raise InvalidParams("qtable file must hold a JSON object")
+    grid = BeliefGrid.create(*(json_number(payload, k, integer=True) for k in ("n_states", "resolution")))
     return QTable(
         np.asarray(payload["values"], dtype=np.float64),
         grid,

@@ -27,7 +27,7 @@ from scipy.special import expit, softmax
 
 from .bellman import BeliefGrid, _softmax_actions, solve as bellman_solve
 from .errors import InvalidParams, ParseError, SchemaError
-from .model import Belief, History, PomdpModel, bayes_posterior
+from .model import Belief, History, PomdpModel, bayes_posterior, block_table, json_number
 
 _ROW_TOL = 1e-9
 N_INCREMENTS = 4
@@ -112,15 +112,12 @@ def load_params(path) -> EngineParams:
     missing = {"persistence", "increments", "cost_slopes", "replacement_cost"} - set(payload)
     if missing:
         raise InvalidParams(f"missing parameter fields: {sorted(missing)}")
-    n_bins = payload.get("n_mileage_bins", 120)
-    if type(n_bins) is not int:   # not a float, which int() truncates, nor a bool
-        raise InvalidParams(f"n_mileage_bins must be an integer, got {n_bins!r}")
     return EngineParams(
         persistence=np.asarray(payload["persistence"], dtype=np.float64),
         increments=np.asarray(payload["increments"], dtype=np.float64),
         cost_slopes=np.asarray(payload["cost_slopes"], dtype=np.float64),
-        replacement_cost=float(payload["replacement_cost"]),
-        n_mileage_bins=n_bins,
+        replacement_cost=float(json_number(payload, "replacement_cost")),
+        n_mileage_bins=json_number({"n_mileage_bins": 120, **payload}, "n_mileage_bins", integer=True),
     )
 
 
@@ -382,7 +379,8 @@ class SimConfig:
                 raise InvalidParams(f"unknown x0 policy {self.x0!r}")
         else:
             probs = np.asarray(self.x0, dtype=np.float64)
-            if probs.shape != (2,) or np.any(probs < 0) or abs(probs.sum() - 1.0) > 1e-9:
+            # Written so that NaN fails; the sum tolerance is Belief's.
+            if not (probs.shape == (2,) and np.all(probs >= 0) and abs(probs.sum() - 1.0) <= 1e-12):
                 raise InvalidParams("fixed x0 must be a two-entry belief")
 
 
@@ -396,25 +394,17 @@ class SimResult:
 
 
 def _transition_tables(kernel: np.ndarray):
-    """Per (a, z, s) cdf over reachable (z', s') pairs, padded to equal width."""
-    n_a, n_z, n_s = kernel.shape[:3]
-    flat = kernel.reshape(n_a, n_z, n_s, -1)
-    width = int((flat > 0).sum(axis=-1).max())
-    cdf = np.ones((n_a, n_z, n_s, width))
-    dz = np.zeros((n_a, n_z, n_s, width), dtype=np.int64)
-    ds = np.zeros((n_a, n_z, n_s, width), dtype=np.int64)
-    for a in range(n_a):
-        for z in range(n_z):
-            for s in range(n_s):
-                nz_idx = np.flatnonzero(flat[a, z, s])
-                c = np.cumsum(flat[a, z, s, nz_idx])
-                k = nz_idx.size
-                cdf[a, z, s, :k] = c
-                dz[a, z, s, :k] = nz_idx // n_s
-                ds[a, z, s, :k] = nz_idx % n_s
-                dz[a, z, s, k:] = nz_idx[-1] // n_s
-                ds[a, z, s, k:] = nz_idx[-1] % n_s
-    return cdf, dz, ds
+    """Per (a, z, s) cdf over the flat indices of the nonzero (z', s') entries,
+    in index order; padded slots hold cdf 1.0 and repeat the last index."""
+    flat = kernel.reshape(kernel.shape[:3] + (-1,))
+    nonzero = flat > 0
+    count = nonzero.sum(axis=-1, keepdims=True)
+    width = int(count.max())
+    order = np.argsort(~nonzero, axis=-1, kind="stable")[..., :width]
+    pad = np.arange(width) >= count
+    cdf = np.where(pad, 1.0, np.cumsum(np.take_along_axis(flat, order, axis=-1), axis=-1))
+    cols = np.where(pad, np.take_along_axis(order, count - 1, axis=-1), order)
+    return cdf, cols
 
 
 def simulate(params: EngineParams, config: SimConfig) -> SimResult:
@@ -448,7 +438,8 @@ def simulate(params: EngineParams, config: SimConfig) -> SimResult:
     s = (u[:, 1] >= good).astype(np.int64)      # hidden condition, 0 good
     z = np.full(n, config.z0, dtype=np.int64)
 
-    cdf, dz, ds = _transition_tables(model.kernel)
+    cdf, cols = _transition_tables(model.kernel)
+    block_of, blocks = block_table(model.kernel)
     obs = np.empty((n, horizon + 1), dtype=np.int64)
     acts = np.empty((n, horizon), dtype=np.int64)
     states = np.empty((n, horizon + 1), dtype=np.int64)
@@ -465,9 +456,8 @@ def simulate(params: EngineParams, config: SimConfig) -> SimResult:
         a = np.minimum((u[:, 2 + 2 * t, None] >= cum).sum(axis=1), model.n_actions - 1)
         rows = cdf[a, z, s]
         k = np.minimum((u[:, 3 + 2 * t, None] >= rows).sum(axis=1), rows.shape[1] - 1)
-        z_next = dz[a, z, s, k]
-        s_next = ds[a, z, s, k]
-        trans = model.kernel[a, z, :, z_next, :]
+        z_next, s_next = np.divmod(cols[a, z, s, k], model.n_states)
+        trans = blocks[block_of[a, z, z_next]]
         x, _, _ = bayes_posterior(np.einsum("ms,mst->mt", x, trans))
         acts[:, t] = a
         obs[:, t + 1] = z_next

@@ -20,8 +20,8 @@ shipped families):
 - the dynamics chart default_theta2 / theta2_to_unconstrained /
   theta2_from_unconstrained;
 - kernel_blocks(u), the kernel at chart point u and its derivative in u
-  as one block table (block_of, blocks, d_blocks), blocks[block_of[a, z, z']]
-  being kernel[a, z, :, z', :]; stage one filters on it alone;
+  as one block table (block_of, blocks, d_blocks) as in model.block_table,
+  with the zero block in row 0; stage one filters on it alone;
 - describe(theta1, theta2), the labelled estimate for the report.
 """
 from __future__ import annotations

@@ -23,7 +23,7 @@ from .bellman import BellmanSolver, QTable, _logsumexp_actions, _softmax_actions
 from .bellman import solve as bellman_solve
 from .errors import InvalidParams, MaxIterExceeded, ZeroObservationProbability
 from .grid import BeliefGrid
-from .model import History, PomdpModel, bayes_posterior
+from .model import History, PomdpModel, bayes_posterior, block_table
 
 PRIOR_TERM = 0.0  # initial beliefs are treated as data, not parameters
 
@@ -83,13 +83,6 @@ class DatasetBlocks:
         return sum(acts.shape[0] * acts.shape[1] for _, _, acts, _ in self.blocks)
 
 
-def _dense_blocks(kernel: np.ndarray):
-    """A dense kernel (a, z, s, z', s') as a block table, every (a, z, z') its own block."""
-    n_a, n_z, n_s = kernel.shape[:3]
-    block_of = np.arange(n_a * n_z * n_z).reshape(n_a, n_z, n_z)
-    return block_of, kernel.transpose(0, 1, 3, 2, 4).reshape(-1, n_s, n_s), None
-
-
 def _scan_block(
     kernel_blocks,
     idx: np.ndarray,
@@ -102,8 +95,8 @@ def _scan_block(
 ):
     """Filter one block. Returns (obs_loglik, beliefs, sigmas, score).
 
-    kernel_blocks = (block_of, blocks, d_blocks): blocks[block_of[a, z, z']]
-    is kernel[a, z, :, z', :] and d_blocks of the same row its derivative in
+    kernel_blocks = (block_of, blocks, d_blocks): a block table as in
+    model.block_table, and d_blocks of the same row its derivative in
     parameters u, or None; each step reads both through one row per history.
     beliefs and sigmas are None unless store is set. With penalize=True a
     vanished observation contributes log(SIGMA_FLOOR) and filtering continues
@@ -172,7 +165,7 @@ def filter_dataset(model: PomdpModel, histories: list[History]) -> list[Filtered
     blocks = DatasetBlocks.from_histories(histories, model)
     out: list[FilteredPath | None] = [None] * len(histories)
     key = model.content_key()
-    kernel_blocks = _dense_blocks(model.kernel)
+    kernel_blocks = block_table(model.kernel) + (None,)
     for idx, obs, acts, x0 in blocks.blocks:
         _, beliefs, sigmas, _ = _scan_block(
             kernel_blocks, idx, obs, acts, x0, burn_in=0, penalize=False, store=True
@@ -199,7 +192,7 @@ def observation_loglik(
     x0_override replaces every initial belief; the benchmark scores the prior
     sweep's fits with it (bench/workloads.py).
     """
-    return observation_score(_dense_blocks(kernel), blocks, burn_in, penalize, x0_override)[0]
+    return observation_score(block_table(kernel) + (None,), blocks, burn_in, penalize, x0_override)[0]
 
 
 def observation_score(

@@ -3,7 +3,7 @@
 A model couples an observable component z with a hidden state s. One joint
 transition kernel gives P(z', s' | z, s, a); a reward table gives the expected
 flow reward r(a, z, s). Beliefs are distributions over the hidden state and are
-updated by Bayes' rule after each (z, a, z') transition.
+updated by Bayes' rule through the kernel's (s, s') block of each (z, a, z').
 """
 from __future__ import annotations
 
@@ -199,13 +199,26 @@ def bayes_posterior(numer: np.ndarray):
     return x, sig, live
 
 
-def reachable_blocks(model: PomdpModel):
-    """(z, a, z') index arrays of the kernel blocks some hidden state reaches.
+def block_table(kernel: np.ndarray):
+    """(block_of, blocks): blocks[block_of[a, z, z']] is kernel[a, z, :, z', :].
 
-    Ordered by z, then a, then z'.
+    Row 0 is the zero block, which every unreachable cell points to; then one
+    row per (z, a, z') that some hidden state reaches with mass >= SIGMA_FLOOR,
+    in order of z, then a, then z'.
     """
-    mass = model.kernel.sum(axis=-1)                  # (a, z, s, z')
-    return np.nonzero((mass >= SIGMA_FLOOR).any(axis=2).transpose(1, 0, 2))
+    n_a, n_z, n_s = kernel.shape[:3]
+    z, a, z2 = np.nonzero((kernel.sum(axis=-1) >= SIGMA_FLOOR).any(axis=2).transpose(1, 0, 2))
+    block_of = np.zeros((n_a, n_z, n_z), dtype=np.int64)
+    block_of[a, z, z2] = np.arange(1, z.size + 1)
+    return block_of, np.concatenate([np.zeros((1, n_s, n_s)), kernel[a, z, :, z2, :]])
+
+
+def json_number(payload: dict, key: str, integer: bool = False):
+    """payload[key] if a JSON integer, or a JSON number unless integer; int() reads 2.7 and True."""
+    value = payload[key]
+    if type(value) not in ((int,) if integer else (int, float)):
+        raise InvalidParams(f"{key} must be {'an integer' if integer else 'a number'}, got {value!r}")
+    return value
 
 
 def save_model(model: PomdpModel, path) -> None:
@@ -229,12 +242,12 @@ def load_model(path) -> PomdpModel:
         raise InvalidParams("model file must hold a JSON object")
     try:
         return PomdpModel(
-            n_states=int(payload["n_states"]),
-            n_obs=int(payload["n_obs"]),
-            n_actions=int(payload["n_actions"]),
+            n_states=json_number(payload, "n_states", integer=True),
+            n_obs=json_number(payload, "n_obs", integer=True),
+            n_actions=json_number(payload, "n_actions", integer=True),
             kernel=np.asarray(payload["kernel"], dtype=np.float64),
             reward=np.asarray(payload["reward"], dtype=np.float64),
-            discount=float(payload["discount"]),
+            discount=float(json_number(payload, "discount")),
         )
     except KeyError as exc:
         raise InvalidParams(f"model file missing key {exc}") from None

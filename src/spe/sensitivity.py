@@ -24,7 +24,7 @@ from .likelihood import FilteredPath
 # Unused here; kept because the traced benchmark (bench/layers.py) wraps this name.
 from .likelihood import filter_dataset
 from .model import Belief, History, PomdpModel, SIGMA_FLOOR
-from .model import _belief_array, bayes_posterior, reachable_blocks
+from .model import _belief_array, bayes_posterior, block_table
 
 
 def _metric_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -40,11 +40,11 @@ def belief_metric(x, x_other) -> float:
     return float(_metric_rows(_belief_array(x), _belief_array(x_other)))
 
 
-def _vertex_contraction(blocks: np.ndarray):
+def _vertex_contraction(blocks: np.ndarray) -> np.ndarray:
     """Largest D between the live vertex posteriors of (..., s, s') kernel blocks.
 
-    Returns (eta, defined). A vertex is live when its row mass reaches
-    SIGMA_FLOOR; eta is 0 with one live vertex, and defined is False with none.
+    A vertex is live when its row mass reaches SIGMA_FLOOR; the result is 0
+    with at most one live vertex.
     """
     mass = blocks.sum(axis=-1)
     live = mass >= SIGMA_FLOOR
@@ -52,7 +52,7 @@ def _vertex_contraction(blocks: np.ndarray):
         posteriors = blocks / mass[..., None]
     d = _metric_rows(posteriors[..., :, None, :], posteriors[..., None, :, :])
     pairs = live[..., :, None] & live[..., None, :]
-    return np.where(pairs, d, 0.0).max(axis=(-2, -1)), live.any(axis=-1)
+    return np.where(pairs, d, 0.0).max(axis=(-2, -1))
 
 
 def contraction_coefficient(model: PomdpModel, z_next: int, z: int, a: int) -> float:
@@ -62,8 +62,8 @@ def contraction_coefficient(model: PomdpModel, z_next: int, z: int, a: int) -> f
     observation probability. Raises ContractionUndefined when every vertex
     gives the observation probability zero.
     """
-    eta, defined = _vertex_contraction(model.kernel[a, z, :, z_next, :])
-    if not defined:
+    eta = eta_table(model)[z_next, z, a]
+    if np.isnan(eta):
         raise ContractionUndefined(
             f"observation z'={z_next} unreachable from z={z} under action {a}"
         )
@@ -72,10 +72,9 @@ def contraction_coefficient(model: PomdpModel, z_next: int, z: int, a: int) -> f
 
 def eta_table(model: PomdpModel) -> np.ndarray:
     """Contraction coefficients for all (z', z, a); NaN where undefined."""
-    z, a, z2 = reachable_blocks(model)
-    out = np.full((model.n_obs, model.n_obs, model.n_actions), np.nan)
-    out[z2, z, a] = _vertex_contraction(model.kernel[a, z, :, z2, :])[0]
-    return out
+    block_of, blocks = block_table(model.kernel)
+    eta = np.where(block_of > 0, _vertex_contraction(blocks)[block_of], np.nan)
+    return np.ascontiguousarray(eta.transpose(2, 1, 0))
 
 
 @dataclass(eq=False)
@@ -111,14 +110,15 @@ def contraction_certificate(
     """
     rng = np.random.default_rng(seed)
     etas = eta_table(model)
+    block_of, blocks = block_table(model.kernel)
     n_checked = 0
     n_violations = 0
     max_excess = float("-inf")
     for a in range(model.n_actions):
         for z in range(model.n_obs):
             pairs = rng.dirichlet(np.ones(model.n_states), size=(2, n_pairs))
-            for z2 in np.flatnonzero(np.isfinite(etas[:, z, a])):
-                (y1, y2), _, live = bayes_posterior(pairs @ model.kernel[a, z, :, z2, :])
+            for z2 in np.flatnonzero(block_of[a, z]):
+                (y1, y2), _, live = bayes_posterior(pairs @ blocks[block_of[a, z, z2]])
                 live = live.all(axis=0)
                 if not np.any(live):
                     continue

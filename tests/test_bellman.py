@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -296,7 +298,18 @@ def test_qtable_round_trip(tmp_path):
     assert back.euler_gamma == res.qtable.euler_gamma
 
 
-def test_qtable_shape_validation():
+def test_qtable_shape_validation(tmp_path):
     grid = BeliefGrid.create(2, 5)
     with pytest.raises(Exception):
         QTable(np.zeros((2, grid.n_nodes + 1, 2)), grid, "k")
+    # a qtable file needs a JSON object with integer sizes; int() would truncate 5.9 to 5
+    path = tmp_path / "q.json"
+    save_qtable(QTable(np.zeros((2, grid.n_nodes, 2)), grid, "k"), path)
+    payload = json.loads(path.read_text())
+    for key, value in [("n_states", 2.0), ("resolution", 5.9), ("resolution", True)]:
+        path.write_text(json.dumps({**payload, key: value}))
+        with pytest.raises(InvalidParams, match=key):
+            load_qtable(path)
+    path.write_text(json.dumps([payload]))
+    with pytest.raises(InvalidParams, match="JSON object"):
+        load_qtable(path)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import ast
 import dataclasses
 import json
 import os
@@ -15,6 +16,21 @@ import spe
 from spe import load_dataset, load_qtable, reference_params, save_params, solve
 from spe.cli import main
 from support import two_state_hand_model
+
+
+def test_only_the_cli_prints():
+    # library code logs and never prints; the command line owns stdout
+    package = Path(spe.__file__).parent
+    printing = sorted(
+        path.name
+        for path in package.glob("*.py")
+        if path.name != "cli.py"
+        and any(
+            isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "print"
+            for node in ast.walk(ast.parse(path.read_text()))
+        )
+    )
+    assert printing == []
 
 
 @pytest.fixture(scope="module")

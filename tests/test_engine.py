@@ -124,6 +124,14 @@ def test_params_file_validation(tmp_path):
     path.write_text("{not json")
     with pytest.raises(ParseError):
         load_params(path)
+    # float() reads a boolean as 1.0 and a numeric string as its number
+    for cost in (True, "9.243"):
+        save_params(reference_params(), path)
+        payload = json.loads(path.read_text())
+        payload["replacement_cost"] = cost
+        path.write_text(json.dumps(payload))
+        with pytest.raises(InvalidParams, match="replacement_cost must be a number"):
+            load_params(path)
 
 
 @pytest.mark.parametrize(
@@ -249,6 +257,12 @@ def test_simulate_config_validation():
         SimConfig(10, 10, seed=1, x0="half")
     with pytest.raises(InvalidParams):
         SimConfig(10, 10, seed=1, x0=(0.7, 0.7))
+    # a NaN x0 would be simulated on NaN beliefs
+    with pytest.raises(InvalidParams):
+        SimConfig(10, 10, seed=1, x0=(np.nan, np.nan))
+    # only x0[0] is read, so the sum must hold to Belief's 1e-12
+    with pytest.raises(InvalidParams):
+        SimConfig(10, 10, seed=1, x0=(0.5, 0.5 + 5e-10))
 
 
 def test_dataset_round_trip(tmp_path, ref_params):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,7 +17,7 @@ from spe import (
     lambda_update,
     sigma,
 )
-from spe.model import SIGMA_FLOOR, bayes_posterior, reachable_blocks
+from spe.model import SIGMA_FLOOR, bayes_posterior, block_table
 from support import (
     apply_lambda_M,
     expected_reward,
@@ -79,7 +81,8 @@ def test_lambda_zero_probability_raises():
 
 def test_bayes_posterior_matches_scalar_update_and_floors_dead_rows():
     m = sparse_random_model(seed=5, n_states=3)
-    z, a, z2 = reachable_blocks(m)
+    block_of, blocks = block_table(m.kernel)
+    z, a, z2 = np.nonzero(block_of.transpose(1, 0, 2))
     mass = m.kernel.sum(axis=-1)[a, z, :, z2]          # (blocks, s)
     assert np.all(mass.max(axis=1) >= SIGMA_FLOOR)
     # every block that no hidden state reaches is left out
@@ -88,7 +91,7 @@ def test_bayes_posterior_matches_scalar_update_and_floors_dead_rows():
     rng = np.random.default_rng(1)
     xs = rng.dirichlet(np.ones(3), size=4)
     xs[0] = [0.0, 0.0, 1.0]
-    numer = np.einsum("bs,kst->kbt", xs, m.kernel[a, z, :, z2, :])
+    numer = np.einsum("bs,kst->kbt", xs, blocks[1:])
     beliefs, sig, live = bayes_posterior(numer)
     for k in range(z.size):
         for b in range(xs.shape[0]):
@@ -101,6 +104,34 @@ def test_bayes_posterior_matches_scalar_update_and_floors_dead_rows():
                 assert s_ref < SIGMA_FLOOR and sig[k, b] == SIGMA_FLOOR
                 np.testing.assert_array_equal(beliefs[k, b], np.full(3, 1.0 / 3.0))
     assert not np.all(live)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: random_model(seed=2, n_states=3),
+        lambda: sparse_random_model(seed=5, n_states=3),
+        two_state_hand_model,
+        lambda: spe.build_engine_model(spe.reference_params(), 0.95),
+    ],
+    ids=["random", "sparse_random", "hand", "engine"],
+)
+def test_block_table_matches_the_dense_kernel(build):
+    m = build()
+    block_of, blocks = block_table(m.kernel)
+    assert block_of.shape == (m.n_actions, m.n_obs, m.n_obs)
+    np.testing.assert_array_equal(blocks[0], 0.0)
+    reachable = (m.kernel.sum(axis=-1) >= SIGMA_FLOOR).any(axis=2)     # (a, z, z')
+    for a in range(m.n_actions):
+        for z in range(m.n_obs):
+            for z2 in range(m.n_obs):
+                k = block_of[a, z, z2]
+                assert (k > 0) == reachable[a, z, z2]
+                if k > 0:
+                    np.testing.assert_array_equal(blocks[k], m.kernel[a, z, :, z2, :])
+    # one row per reachable cell, numbered in order of (z, a, z')
+    rows = block_of.transpose(1, 0, 2)[reachable.transpose(1, 0, 2)]
+    np.testing.assert_array_equal(rows, np.arange(1, blocks.shape[0]))
 
 
 def test_expected_reward_engine_numbers(ref_params, engine_model):
@@ -216,22 +247,32 @@ def test_expected_reward_linear_in_belief(seed, alpha):
     assert lhs == pytest.approx(rhs, abs=1e-12)
 
 
-def test_model_validation():
-    kernel = np.full((1, 2, 2, 2, 2), 0.125)
+def test_model_validation(tmp_path):
+    # rows of four entries of 0.25 sum to 1, so each case below trips its own check
+    kernel = np.full((1, 2, 2, 2, 2), 0.25)
     reward = np.zeros((1, 2, 2))
-    with pytest.raises(InvalidParams):
+    with pytest.raises(InvalidParams, match="sum to 1"):
         PomdpModel(2, 2, 1, kernel * 1.01, reward, 0.9)
-    with pytest.raises(InvalidParams):
+    with pytest.raises(InvalidParams, match="discount"):
         PomdpModel(2, 2, 1, kernel, reward, 1.0)
-    with pytest.raises(InvalidParams):
+    with pytest.raises(InvalidParams, match="discount"):
         PomdpModel(2, 2, 1, kernel, reward, -0.1)
-    with pytest.raises(InvalidParams):
+    with pytest.raises(InvalidParams, match="reward shape"):
         PomdpModel(2, 2, 1, kernel, np.zeros((1, 2, 3)), 0.9)
     bad = kernel.copy()
     bad[0, 0, 0, 0, 0] = -0.1
     bad[0, 0, 0, 1, 0] += 0.35
-    with pytest.raises(InvalidParams):
+    with pytest.raises(InvalidParams, match="negative"):
         PomdpModel(2, 2, 1, bad, reward, 0.9)
+    # a model file needs JSON integers for the sizes and a JSON number for the discount
+    path = tmp_path / "model.json"
+    for key, value in [("n_states", 2.7), ("n_obs", True), ("n_actions", "1"), ("discount", "0.9")]:
+        spe.save_model(PomdpModel(2, 2, 1, kernel, reward, 0.9), path)
+        payload = json.loads(path.read_text())
+        payload[key] = value
+        path.write_text(json.dumps(payload))
+        with pytest.raises(InvalidParams, match=key):
+            spe.load_model(path)
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf])
