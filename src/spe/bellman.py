@@ -25,7 +25,7 @@ from scipy import sparse
 
 from .errors import InvalidParams, MaxIterExceeded
 from .grid import BeliefGrid
-from .model import EULER_GAMMA, PomdpModel, bayes_posterior, block_table, json_number
+from .model import EULER_GAMMA, PomdpModel, bayes_posterior, block_table, json_number, read_json_object
 
 
 @dataclass(frozen=True, eq=False)
@@ -35,7 +35,6 @@ class QTable:
     values: np.ndarray          # (n_obs, n_nodes, n_actions)
     grid: BeliefGrid
     model_key: str
-    euler_gamma: float = EULER_GAMMA
 
     def __post_init__(self):
         v = np.ascontiguousarray(np.asarray(self.values, dtype=np.float64))
@@ -61,7 +60,7 @@ class QTable:
 
 def soft_value(q: QTable, z: int, x) -> float:
     """Expected maximum under Gumbel taste shocks: euler_gamma + logsumexp of Q."""
-    return float(q.euler_gamma + _logsumexp_actions(q.interpolate_row(z, x)))
+    return float(EULER_GAMMA + _logsumexp_actions(q.interpolate_row(z, x)))
 
 
 def ccp(q: QTable, z: int, x) -> np.ndarray:
@@ -136,7 +135,7 @@ class BellmanSolver:
         return np.einsum("azs,gs->zga", np.asarray(reward, dtype=np.float64), self.grid.nodes)
 
     def soft_values(self, qvalues: np.ndarray) -> np.ndarray:
-        return self.model.euler_gamma + _logsumexp_actions(qvalues)
+        return EULER_GAMMA + _logsumexp_actions(qvalues)
 
     def propagate(self, flat_values: np.ndarray) -> np.ndarray:
         """Expected successor value for every (z, node, a), discount applied."""
@@ -220,7 +219,7 @@ def solve(
     values, iters, residual = solver.solve(
         tol=tol, max_iter=max_iter, q0=None if q0 is None else q0.values
     )
-    return SolveResult(QTable(values, grid, model.content_key(), model.euler_gamma), iters, residual)
+    return SolveResult(QTable(values, grid, model.content_key()), iters, residual)
 
 
 def finite_horizon_solve(
@@ -239,11 +238,11 @@ def finite_horizon_solve(
     shape = (model.n_obs, grid.n_nodes, model.n_actions)
     q_T = np.zeros(shape) if terminal is None else np.asarray(terminal, dtype=np.float64)
     key = model.content_key()
-    tables = [QTable(q_T, grid, key, model.euler_gamma)]
+    tables = [QTable(q_T, grid, key)]
     q = q_T
     for _ in range(horizon):
         q = solver.apply(q)
-        tables.append(QTable(q, grid, key, model.euler_gamma))
+        tables.append(QTable(q, grid, key))
     tables.reverse()
     return tables
 
@@ -253,7 +252,7 @@ def save_qtable(q: QTable, path) -> None:
         "n_states": q.grid.n_states,
         "resolution": q.grid.resolution,
         "model_key": q.model_key,
-        "euler_gamma": q.euler_gamma,
+        "euler_gamma": EULER_GAMMA,
         "values": q.values.tolist(),
     }
     with open(path, "w") as fh:
@@ -262,14 +261,10 @@ def save_qtable(q: QTable, path) -> None:
 
 
 def load_qtable(path) -> QTable:
-    with open(path) as fh:
-        payload = json.load(fh)
-    if not isinstance(payload, dict):
-        raise InvalidParams("qtable file must hold a JSON object")
-    grid = BeliefGrid.create(*(json_number(payload, k, integer=True) for k in ("n_states", "resolution")))
-    return QTable(
-        np.asarray(payload["values"], dtype=np.float64),
-        grid,
-        str(payload["model_key"]),
-        float(payload["euler_gamma"]),
+    payload = read_json_object(
+        path, "qtable", ("n_states", "resolution", "model_key", "euler_gamma", "values")
     )
+    if payload["euler_gamma"] != EULER_GAMMA:
+        raise InvalidParams(f"euler_gamma must be {EULER_GAMMA!r}, got {payload['euler_gamma']!r}")
+    grid = BeliefGrid.create(*(json_number(payload, k, integer=True) for k in ("n_states", "resolution")))
+    return QTable(np.asarray(payload["values"], dtype=np.float64), grid, str(payload["model_key"]))

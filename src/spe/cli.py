@@ -3,8 +3,12 @@
 Subcommands: simulate, estimate, evaluate, bellman-solve, sensitivity,
 identify-probe. Validation problems (bad parameters, malformed datasets)
 exit with code 1; I/O failures (missing or unwritable files) exit with 2.
-Report files embed the resolved configuration and a content hash of their
-inputs so runs can be traced.
+Every JSON input file (model, parameter, config) is read by
+model.read_json_object and fails the same way. evaluate, bellman-solve and
+each side of identify-probe take a model file (--model) or engine parameters
+(--params), not both; evaluate and bellman-solve fall back to the reference
+values. Report files embed the resolved configuration and a content hash
+of their inputs so runs can be traced.
 
 Threading: --threads (or the SPE_THREADS environment variable) caps the
 linear-algebra thread pools before the numerical stack is loaded. It only
@@ -69,24 +73,14 @@ def _write_json(payload: dict, path) -> None:
         fh.write("\n")
 
 
-def _load_config_file(path, allowed: set) -> dict:
-    with open(path) as fh:
-        raw = json.load(fh)
-    if not isinstance(raw, dict):
-        raise ValueError("config file must hold a JSON object")
-    unknown = set(raw) - allowed
-    if unknown:
-        raise ValueError(f"unknown config fields: {sorted(unknown)}")
-    return raw
-
-
 def _resolve_config(args) -> "object":
     from .estimator import EstimatorConfig
+    from .model import read_json_object
 
     merged: dict = {}
     if getattr(args, "config", None):
-        allowed = {f.name for f in dataclasses.fields(EstimatorConfig)}
-        merged.update(_load_config_file(args.config, allowed))
+        allowed = [f.name for f in dataclasses.fields(EstimatorConfig)]
+        merged.update(read_json_object(args.config, "config", (), allowed))
     overrides = {
         "grid_resolution": getattr(args, "grid_resolution", None),
         "step_size": getattr(args, "step_size", None),
@@ -98,18 +92,25 @@ def _resolve_config(args) -> "object":
     return EstimatorConfig(**merged)
 
 
-def _load_params(args):
-    from .engine import load_params, reference_params
+def _model_source(model_path, params_path, discount):
+    """(model, path): the generic model file, else the engine model at the
+    parameter file, else the engine model at the reference values (path None).
+    """
+    from .engine import build_engine_model, load_params, reference_params
+    from .model import load_model
 
-    if getattr(args, "params", None):
-        return load_params(args.params)
-    return reference_params()
+    if model_path and params_path:
+        raise ValueError("give a model file or a parameter file, not both")
+    if model_path:
+        return load_model(model_path), model_path
+    params = load_params(params_path) if params_path else reference_params()
+    return build_engine_model(params, discount), params_path
 
 
 def cmd_simulate(args) -> int:
-    from .engine import SimConfig, emit_dataset, emit_debug_sidecar, simulate
+    from .engine import SimConfig, emit_dataset, emit_debug_sidecar, load_params, reference_params, simulate
 
-    params = _load_params(args)
+    params = load_params(args.params) if args.params else reference_params()
     config = SimConfig(
         n_histories=args.n,
         horizon=args.t,
@@ -185,19 +186,11 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    from .engine import build_engine_model, load_dataset
+    from .engine import load_dataset
     from .likelihood import log_likelihood
-    from .model import load_model
 
     histories = load_dataset(args.data)
-    if args.model:
-        model = load_model(args.model)
-        source, source_hash = str(args.model), _sha256(args.model)
-    else:
-        params = _load_params(args)
-        model = build_engine_model(params, args.discount)
-        source = str(args.params) if args.params else "reference"
-        source_hash = _sha256(args.params) if args.params else None
+    model, source = _model_source(args.model, args.params, args.discount)
     ll = log_likelihood(model, histories, resolution=args.grid_resolution)
     print(
         f"loglik total {ll.total:.6f} (obs {ll.obs_term:.6f}, "
@@ -209,8 +202,8 @@ def cmd_evaluate(args) -> int:
                 "command": "evaluate",
                 "data": str(args.data),
                 "data_sha256": _sha256(args.data),
-                "model": source,
-                "model_sha256": source_hash,
+                "model": str(source) if source else "reference",
+                "model_sha256": _sha256(source) if source else None,
                 "grid_resolution": args.grid_resolution,
                 "loglik": {
                     "obs_term": ll.obs_term,
@@ -226,13 +219,8 @@ def cmd_evaluate(args) -> int:
 
 def cmd_bellman_solve(args) -> int:
     from .bellman import save_qtable, solve
-    from .engine import build_engine_model
-    from .model import load_model
 
-    if args.model:
-        model = load_model(args.model)
-    else:
-        model = build_engine_model(_load_params(args), args.discount)
+    model, _ = _model_source(args.model, args.params, args.discount)
     result = solve(model, resolution=args.resolution, tol=args.tol)
     save_qtable(result.qtable, args.out)
     print(
@@ -277,19 +265,12 @@ def cmd_sensitivity(args) -> int:
 
 
 def cmd_identify_probe(args) -> int:
-    from .engine import build_engine_model, load_params
-    from .model import load_model
     from .sensitivity import two_period_identification_probe
 
-    def load_side(model_path, params_path):
-        if model_path:
-            return load_model(model_path)
-        if params_path:
-            return build_engine_model(load_params(params_path), args.discount)
+    if not (args.model_a or args.params_a) or not (args.model_b or args.params_b):
         raise ValueError("each side needs --model-X or --params-X")
-
-    model_a = load_side(args.model_a, args.params_a)
-    model_b = load_side(args.model_b, args.params_b)
+    model_a, _ = _model_source(args.model_a, args.params_a, args.discount)
+    model_b, _ = _model_source(args.model_b, args.params_b, args.discount)
     x0 = [float(p) for p in args.x0.split(",")]
     probe = two_period_identification_probe(model_a, model_b, x0, tol=args.tol)
     if probe.distinguishable:

@@ -27,7 +27,7 @@ from scipy.special import expit, softmax
 
 from .bellman import BeliefGrid, _softmax_actions, solve as bellman_solve
 from .errors import InvalidParams, ParseError, SchemaError
-from .model import Belief, History, PomdpModel, bayes_posterior, block_table, json_number
+from .model import Belief, History, PomdpModel, bayes_posterior, block_table, json_number, read_json_object
 
 _ROW_TOL = 1e-9
 N_INCREMENTS = 4
@@ -100,18 +100,12 @@ def save_params(params: EngineParams, path) -> None:
 
 
 def load_params(path) -> EngineParams:
-    with open(path) as fh:
-        try:
-            payload = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise ParseError(f"parameter file is not valid JSON: {e.msg}", line=e.lineno)
-    allowed = {"persistence", "increments", "cost_slopes", "replacement_cost", "n_mileage_bins"}
-    unknown = set(payload) - allowed
-    if unknown:
-        raise InvalidParams(f"unknown parameter fields: {sorted(unknown)}")
-    missing = {"persistence", "increments", "cost_slopes", "replacement_cost"} - set(payload)
-    if missing:
-        raise InvalidParams(f"missing parameter fields: {sorted(missing)}")
+    payload = read_json_object(
+        path,
+        "parameter",
+        ("persistence", "increments", "cost_slopes", "replacement_cost"),
+        ("n_mileage_bins",),
+    )
     return EngineParams(
         persistence=np.asarray(payload["persistence"], dtype=np.float64),
         increments=np.asarray(payload["increments"], dtype=np.float64),
@@ -507,10 +501,13 @@ def load_dataset(path) -> list:
                 raise ParseError(f"line {lineno}: {exc}", line=lineno) from None
             if not isinstance(rec, dict) or not {"x0", "z", "a"} <= set(rec):
                 raise SchemaError(f"line {lineno}: record must carry x0, z, and a")
-            for key in ("z", "a"):
-                # bool is a subclass of int; a float or string entry would be cast silently.
-                if not isinstance(rec[key], list) or any(type(v) is not int for v in rec[key]):
-                    raise SchemaError(f"line {lineno}: {key} must be a list of integers")
+            # type(), since bool is a subclass of int; np.asarray would cast a
+            # float, string or bool entry silently.
+            for key, types, kind in (
+                ("z", (int,), "integers"), ("a", (int,), "integers"), ("x0", (int, float), "numbers")
+            ):
+                if not isinstance(rec[key], list) or any(type(v) not in types for v in rec[key]):
+                    raise SchemaError(f"line {lineno}: {key} must be a list of {kind}")
             obs = np.asarray(rec["z"], dtype=np.int64)
             acts = np.asarray(rec["a"], dtype=np.int64)
             if obs.size != acts.size + 1:

@@ -38,7 +38,10 @@ class NonFiniteObjective(EstimationError):
 
 
 class ParseError(EstimationError):
-    """A dataset file could not be parsed. Carries the 1-based line number."""
+    """An input file is not valid JSON. Carries the 1-based line number.
+
+    The file is a JSONL dataset, or a model, Q-table, parameter or config file.
+    """
 
     def __init__(self, message: str, line: int | None = None):
         super().__init__(message)

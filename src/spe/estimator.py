@@ -278,7 +278,7 @@ def stage2_policy_gradient(
     for k in range(config.max_stage2_iters):
         if not np.isfinite(ll_cur):
             raise NonFiniteObjective(f"pseudo-likelihood is {ll_cur!r} at iterate {k}")
-        qtable = QTable(q_cur, grid, key, model.euler_gamma)
+        qtable = QTable(q_cur, grid, key)
         gq = grad_q(model, reward_grad, qtable, tol=config.grad_q_tol, solver=solver)
         _, scores = points.grad_sum_log_pi(q_cur, gq.values)
         grad = scores.sum(axis=0)

@@ -38,22 +38,14 @@ class BeliefGrid:
         if resolution < 2:
             raise InvalidParams("resolution must be at least 2")
         m = resolution - 1
-        counts = []
-        for cuts in itertools.combinations(range(m + n_states - 1), n_states - 1):
-            # stars-and-bars: cut positions -> occupancy vector summing to m
-            prev = -1
-            k = []
-            for c in cuts:
-                k.append(c - prev - 1)
-                prev = c
-            k.append(m + n_states - 2 - prev)
-            counts.append(k)
-        counts = np.asarray(counts, dtype=np.int64)
-        cumulative = np.cumsum(counts[:, :-1], axis=1)
+        # Nodes are the nondecreasing cumulative coordinates in [0, m], in key order.
+        cumulative = np.array(
+            list(itertools.combinations_with_replacement(range(m + 1), n_states - 1)), dtype=np.int64
+        )
         keys = _encode(cumulative, resolution)
         order = np.argsort(keys)
-        nodes = counts[order].astype(np.float64) / m
         keys = keys[order]
+        nodes = np.diff(cumulative[order], axis=1, prepend=0, append=m).astype(np.float64) / m
         nodes.setflags(write=False)
         keys.setflags(write=False)
         return cls(n_states, resolution, nodes, keys)

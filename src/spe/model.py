@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidParams, ZeroObservationProbability
+from .errors import InvalidParams, ParseError, ZeroObservationProbability
 
 # Euler-Mascheroni constant: mean of a standard Gumbel, enters the soft value.
 EULER_GAMMA = 0.5772156649015329
@@ -37,7 +37,6 @@ class PomdpModel:
     kernel: np.ndarray
     reward: np.ndarray
     discount: float
-    euler_gamma: float = EULER_GAMMA
 
     def __post_init__(self):
         kernel = np.ascontiguousarray(np.asarray(self.kernel, dtype=np.float64))
@@ -74,7 +73,7 @@ class PomdpModel:
 
         h = hashlib.sha256()
         h.update(np.float64(self.discount).tobytes())
-        h.update(np.float64(self.euler_gamma).tobytes())
+        h.update(np.float64(EULER_GAMMA).tobytes())
         h.update(self.kernel.tobytes())
         h.update(self.reward.tobytes())
         return h.hexdigest()[:16]
@@ -213,6 +212,32 @@ def block_table(kernel: np.ndarray):
     return block_of, np.concatenate([np.zeros((1, n_s, n_s)), kernel[a, z, :, z2, :]])
 
 
+def read_json_object(path, kind: str, required, optional=()) -> dict:
+    """The JSON object in the file at path, checked against its required and optional keys.
+
+    Every JSON input file of the package (model, Q table, engine parameters,
+    estimator config) is read here. Invalid JSON raises ParseError carrying
+    the 1-based line; a value that is not an object, a key outside required
+    and optional, or a missing required key raises InvalidParams.
+    """
+    with open(path) as fh:
+        try:
+            payload = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ParseError(
+                f"{kind} file is not valid JSON: {exc.msg} (line {exc.lineno})", line=exc.lineno
+            ) from None
+    if not isinstance(payload, dict):
+        raise InvalidParams(f"{kind} file must hold a JSON object")
+    unknown = set(payload) - set(required) - set(optional)
+    if unknown:
+        raise InvalidParams(f"unknown {kind} fields: {sorted(unknown)}")
+    missing = set(required) - set(payload)
+    if missing:
+        raise InvalidParams(f"missing {kind} fields: {sorted(missing)}")
+    return payload
+
+
 def json_number(payload: dict, key: str, integer: bool = False):
     """payload[key] if a JSON integer, or a JSON number unless integer; int() reads 2.7 and True."""
     value = payload[key]
@@ -236,18 +261,14 @@ def save_model(model: PomdpModel, path) -> None:
 
 
 def load_model(path) -> PomdpModel:
-    with open(path) as fh:
-        payload = json.load(fh)
-    if not isinstance(payload, dict):
-        raise InvalidParams("model file must hold a JSON object")
-    try:
-        return PomdpModel(
-            n_states=json_number(payload, "n_states", integer=True),
-            n_obs=json_number(payload, "n_obs", integer=True),
-            n_actions=json_number(payload, "n_actions", integer=True),
-            kernel=np.asarray(payload["kernel"], dtype=np.float64),
-            reward=np.asarray(payload["reward"], dtype=np.float64),
-            discount=float(json_number(payload, "discount")),
-        )
-    except KeyError as exc:
-        raise InvalidParams(f"model file missing key {exc}") from None
+    payload = read_json_object(
+        path, "model", ("n_states", "n_obs", "n_actions", "discount", "kernel", "reward")
+    )
+    return PomdpModel(
+        n_states=json_number(payload, "n_states", integer=True),
+        n_obs=json_number(payload, "n_obs", integer=True),
+        n_actions=json_number(payload, "n_actions", integer=True),
+        kernel=np.asarray(payload["kernel"], dtype=np.float64),
+        reward=np.asarray(payload["reward"], dtype=np.float64),
+        discount=float(json_number(payload, "discount")),
+    )

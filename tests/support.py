@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from spe import Belief, InvalidParams, PomdpModel, ZeroObservationProbability, lambda_update
+from spe import EULER_GAMMA, Belief, InvalidParams, PomdpModel, ZeroObservationProbability, lambda_update
 
 
 def random_kernel(rng: np.random.Generator, n_states: int, n_obs: int, n_actions: int) -> np.ndarray:
@@ -63,7 +63,7 @@ def two_state_hand_model(discount: float = 0.9) -> PomdpModel:
 
 def qtable_bound(model: PomdpModel) -> float:
     """Sup-norm bound satisfied by the solved Q table."""
-    return (float(np.max(np.abs(model.reward))) + model.euler_gamma + np.log(model.n_actions)) / (
+    return (float(np.max(np.abs(model.reward))) + EULER_GAMMA + np.log(model.n_actions)) / (
         1.0 - model.discount
     ) + 1.0
 

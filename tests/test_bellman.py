@@ -295,7 +295,12 @@ def test_qtable_round_trip(tmp_path):
     np.testing.assert_array_equal(back.values, res.qtable.values)
     assert back.model_key == res.qtable.model_key
     assert back.grid.resolution == res.qtable.grid.resolution
-    assert back.euler_gamma == res.qtable.euler_gamma
+    # the soft value's constant is fixed: a table solved with another one is refused
+    payload = json.loads(path.read_text())
+    assert payload["euler_gamma"] == EULER_GAMMA
+    path.write_text(json.dumps({**payload, "euler_gamma": 0.5}))
+    with pytest.raises(InvalidParams, match="euler_gamma"):
+        load_qtable(path)
 
 
 def test_qtable_shape_validation(tmp_path):

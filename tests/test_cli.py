@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import spe
-from spe import load_dataset, load_qtable, reference_params, save_params, solve
+from spe import build_engine_model, load_dataset, load_qtable, reference_params, save_params, solve
 from spe.cli import main
 from support import two_state_hand_model
 
@@ -31,6 +31,28 @@ def test_only_the_cli_prints():
         )
     )
     assert printing == []
+
+
+def test_json_is_read_in_one_place_per_format():
+    # a JSON file is read by model.read_json_object and a JSONL line by
+    # engine.load_dataset, so every input file of one format fails the same way
+    package = Path(spe.__file__).parent
+    reads = []
+    for path in package.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        owner = {}
+        for func in ast.walk(tree):    # breadth first: an inner function overwrites its outer one
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner.update((node, func.name) for node in ast.walk(func))
+        reads += [
+            (path.name, owner.get(node), ast.unparse(node.func))
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and ast.unparse(node.func) in ("json.load", "json.loads")
+        ]
+    assert sorted(reads) == [
+        ("engine.py", "load_dataset", "json.loads"),
+        ("model.py", "read_json_object", "json.load"),
+    ]
 
 
 @pytest.fixture(scope="module")
@@ -80,6 +102,17 @@ def test_simulate_missing_params_file(tmp_path, capsys):
          "--seed", "1", "--out", out]
     )
     assert rc == 2
+    assert not out.exists()
+
+
+def test_simulate_params_file_must_hold_an_object(tmp_path, capsys):
+    # a number used to end in a TypeError traceback
+    params = tmp_path / "p.json"
+    params.write_text("5\n")
+    out = tmp_path / "x.jsonl"
+    rc = run(["simulate", "--params", params, "--n", "2", "--t", "5", "--seed", "1", "--out", out])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: parameter file must hold a JSON object")
     assert not out.exists()
 
 
@@ -281,6 +314,25 @@ def test_evaluate_at_reference(tiny_dataset, tmp_path, capsys):
     assert ll["total"] == pytest.approx(ll["obs_term"] + ll["choice_term"] + ll["prior_term"])
     assert ll["total"] < 0.0
     assert "loglik total" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "command, extra",
+    [("evaluate", ["--grid-resolution", "11"]), ("bellman-solve", ["--resolution", "11"])],
+    ids=["evaluate", "bellman-solve"],
+)
+def test_model_and_params_together_are_an_error(tiny_dataset, tmp_path, capsys, command, extra):
+    # --params used to be ignored silently beside --model
+    from spe.model import save_model
+
+    model_path, params_path, out = tmp_path / "m.json", tmp_path / "p.json", tmp_path / "out.json"
+    save_model(build_engine_model(reference_params(), 0.95), model_path)
+    save_params(reference_params(), params_path)
+    data = ["--data", tiny_dataset] if command == "evaluate" else []
+    rc = run([command, *data, *extra, "--model", model_path, "--params", params_path, "--out", out])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: give a model file or a parameter file, not both")
+    assert not out.exists()
 
 
 def test_bellman_solve_cli(tmp_path, capsys):

@@ -320,6 +320,18 @@ def test_dataset_entries_must_be_json_integers(tmp_path, key, entries):
         load_dataset(path)
 
 
+@pytest.mark.parametrize("x0", ["[true, false]", '["0.5", "0.5"]', '"ab"'])
+def test_dataset_x0_must_be_json_numbers(tmp_path, x0):
+    # a boolean or string entry used to be cast to a number silently, and "ab" to fail without a line
+    path = tmp_path / "bad.jsonl"
+    path.write_text(
+        '{"x0": [1.0, 0.0], "z": [0, 1, 2], "a": [0, 0]}\n'
+        f'{{"x0": {x0}, "z": [0, 1, 2], "a": [0, 0]}}\n'
+    )
+    with pytest.raises(SchemaError, match="line 2: x0 must be a list of numbers"):
+        load_dataset(path)
+
+
 def test_debug_sidecar_alignment(tmp_path, ref_params):
     res = simulate(ref_params, SimConfig(3, 8, seed=21))
     path = tmp_path / "debug.jsonl"

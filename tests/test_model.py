@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import argparse
 import json
+import re
 
 import numpy as np
 import pytest
@@ -12,11 +14,16 @@ from spe import (
     Belief,
     History,
     InvalidParams,
+    ParseError,
     PomdpModel,
     ZeroObservationProbability,
     lambda_update,
     sigma,
 )
+from spe.bellman import QTable, load_qtable, save_qtable
+from spe.cli import _resolve_config
+from spe.engine import load_params, reference_params, save_params
+from spe.grid import BeliefGrid
 from spe.model import SIGMA_FLOOR, bayes_posterior, block_table
 from support import (
     apply_lambda_M,
@@ -321,3 +328,47 @@ def test_model_round_trip(tmp_path):
     assert back.content_key() == m.content_key()
     other = random_model(seed=22, n_obs=3)
     assert other.content_key() != m.content_key()
+
+
+def _save_qtable(path):
+    grid = BeliefGrid.create(2, 5)
+    save_qtable(QTable(np.zeros((2, grid.n_nodes, 2)), grid, "k"), path)
+
+
+JSON_FILE_KINDS = {
+    # kind: (writer of a valid file, its loader, one required key or None)
+    "model": (lambda p: spe.save_model(two_state_hand_model(), p), spe.load_model, "reward"),
+    "qtable": (_save_qtable, load_qtable, "values"),
+    "parameter": (lambda p: save_params(reference_params(), p), load_params, "replacement_cost"),
+    "config": (
+        lambda p: p.write_text(json.dumps({"grid_resolution": 31})),
+        lambda p: _resolve_config(argparse.Namespace(config=p)),
+        None,
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", list(JSON_FILE_KINDS))
+def test_every_json_file_kind_fails_the_same_way(tmp_path, kind):
+    # model, Q-table, parameter and config files all go through read_json_object
+    save, load, required = JSON_FILE_KINDS[kind]
+    path = tmp_path / "file.json"
+    save(path)
+    load(path)
+    payload = json.loads(path.read_text())
+    path.write_text('{\n  "n_states": 2,\n  oops\n}\n')
+    with pytest.raises(ParseError, match="line 3") as exc:
+        load(path)
+    assert exc.value.line == 3
+    faults = [
+        ([payload], "file must hold a JSON object"),
+        (5, "file must hold a JSON object"),
+        ({**payload, "extra": 1}, f"unknown {kind} fields: ['extra']"),
+    ]
+    if required:
+        rest = {k: v for k, v in payload.items() if k != required}
+        faults.append((rest, f"missing {kind} fields: ['{required}']"))
+    for value, message in faults:
+        path.write_text(json.dumps(value))
+        with pytest.raises(InvalidParams, match=re.escape(message)):
+            load(path)
