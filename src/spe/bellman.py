@@ -1,18 +1,22 @@
 """Soft Bellman equation on a discretized belief space.
 
-The action value table Q lives on (observable, grid node, action). One operator
-sweep computes
+The action value table Q lives on (observable, grid node, action). The
+operator is
 
     (HQ)(z, x, a) = r(z, x, a) + discount * sum_{z'} sigma(z', z, x, a) * Vbar(z', lambda(z', z, x, a))
 
 with the soft value Vbar(z, x) = euler_gamma + log sum_a exp Q(z, x, a), where
 successor values are evaluated by barycentric interpolation on the grid. The
 successor weights are assembled once into a sparse matrix discount * W with
-rows (z, x, a) and columns (z', node), so a sweep is one log-sum-exp and one
-sparse product. The sweep is a sup-norm contraction with modulus equal to the
-discount factor, so span-corrected fixed-point iteration converges
-geometrically. Its parameter gradient is linear in Q's successors, and
-likelihood.grad_q solves it directly with a sparse LU over the same matrix.
+rows (z, x, a) and columns (z', node), so one application of H is one
+log-sum-exp and one sparse product.
+
+The fixed point is solved by soft policy iteration, Newton's method on the
+soft values, whose steps and likelihood.grad_q factor (I - Pi discount W) at a
+softmax policy Pi. Its rows are strictly diagonally dominant (margin
+1 - discount), so the LU skips pivoting. It orders the observables so that
+only moves closing a cycle point later: the engine's system is then block
+triangular apart from its replacement bin's columns, and the factor sparse.
 """
 from __future__ import annotations
 
@@ -22,10 +26,13 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse.linalg import splu
 
 from .errors import InvalidParams, MaxIterExceeded
 from .grid import BeliefGrid
-from .model import EULER_GAMMA, PomdpModel, bayes_posterior, block_table, json_number, read_json_object
+from .model import EULER_GAMMA, PomdpModel, bayes_posterior, block_table, json_array, json_number, read_json_object
+
+MAX_NEWTON_ITERATIONS = 50   # BellmanSolver.solve's cap; cold engine solves take 4 or 5
 
 
 @dataclass(frozen=True, eq=False)
@@ -42,14 +49,6 @@ class QTable:
             raise InvalidParams(f"qtable shape {v.shape} does not match grid")
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
-
-    @property
-    def n_obs(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def n_actions(self) -> int:
-        return self.values.shape[2]
 
     def interpolate_row(self, z: int, x) -> np.ndarray:
         """Action-value vector at an arbitrary belief, shape (n_actions,)."""
@@ -84,6 +83,27 @@ def _softmax_actions(values: np.ndarray) -> np.ndarray:
     return np.exp(values - _logsumexp_actions(values)[..., None])
 
 
+def _successors_first(moves: np.ndarray) -> np.ndarray:
+    """Observables in depth-first postorder over moves[z, z'], the most entered first as roots.
+
+    Every move then goes to an earlier observable unless it closes a cycle.
+    For the engine only the moves into the replacement bin do, and the rest,
+    which only raise mileage, come out in descending mileage.
+    """
+    order, seen = [], np.zeros(len(moves), dtype=bool)
+    for root in np.argsort(moves.diagonal() - moves.sum(axis=0), kind="stable"):
+        path = [] if seen[root] else [root]
+        seen[root] = True
+        while path:
+            unseen = np.flatnonzero(moves[path[-1]] & ~seen)
+            if unseen.size:
+                seen[unseen[0]] = True
+                path.append(unseen[0])
+            else:
+                order.append(path.pop())
+    return np.array(order)
+
+
 class BellmanSolver:
     """Precomputed sweep structure for one (model dynamics, grid) pair.
 
@@ -93,6 +113,7 @@ class BellmanSolver:
     Nodes whose observation probability is below the floor get weight 0.
     The rows are then assembled into one sparse matrix discount * W over the
     flattened (z', node) axis, so a sweep is a single sparse product.
+    policy_solve factors in factor_order: _successors_first, then node.
     """
 
     def __init__(self, model: PomdpModel, grid: BeliefGrid):
@@ -127,6 +148,8 @@ class BellmanSolver:
         successors.sum_duplicates()
         successors.eliminate_zeros()
         self.successors = successors
+        z_order = _successors_first((block_of > 0).any(axis=0))
+        self.factor_order = (z_order[:, None] * g + np.arange(g)).ravel()
         self.node_rewards = self.expected_rewards(model.reward)
 
     def expected_rewards(self, reward: np.ndarray) -> np.ndarray:
@@ -145,56 +168,64 @@ class BellmanSolver:
         """Vector-valued variant: flat_stack is (n_obs * n_nodes, p), result (z, node, a, p)."""
         return (self.successors @ flat_stack).reshape(*self.node_rewards.shape, flat_stack.shape[-1])
 
-    def apply(self, qvalues: np.ndarray, node_rewards: np.ndarray | None = None) -> np.ndarray:
-        r = self.node_rewards if node_rewards is None else node_rewards
-        vf = self.soft_values(qvalues).ravel()
-        return r + self.propagate(vf)
+    def apply(self, qvalues: np.ndarray) -> np.ndarray:
+        return self.node_rewards + self.propagate(self.soft_values(qvalues).ravel())
+
+    def policy_solve(self, qvalues: np.ndarray):
+        """Factor (I - Pi discount W) at the softmax policy Pi of qvalues; return its solve.
+
+        Pi averages each (z, node) row's actions, and the solve takes a vector
+        or a stack of columns over the flattened (z, node) axis.
+        """
+        order = self.factor_order
+        rank = np.argsort(order)
+        pis = _softmax_actions(qvalues)
+        policy = sparse.csr_matrix(
+            (pis.ravel(), np.arange(pis.size), np.arange(0, pis.size + 1, pis.shape[-1]))
+        )
+        system = sparse.identity(order.size, format="csr") - policy[order] @ self.successors[:, order]
+        # Narrow supernodes: SuperLU's defaults hold about 4 MB more at grid 101.
+        lu = splu(system.tocsc(), permc_spec="NATURAL", diag_pivot_thresh=0.0, panel_size=1, relax=1)
+        return lambda rhs: lu.solve(rhs[order])[rank]
 
     def solve(
         self,
         node_rewards: np.ndarray | None = None,
         tol: float = 1e-9,
-        max_iter: int | None = None,
+        max_iter: int = MAX_NEWTON_ITERATIONS,
         q0: np.ndarray | None = None,
     ) -> tuple[np.ndarray, int, float]:
-        """Span-corrected fixed-point iteration to sup-norm residual <= tol.
+        """Soft policy iteration to a Bellman residual max |HQ - Q| <= tol.
 
-        A sweep shifts a constant added to Q by discount times that constant
-        (each row's successor weights sum to one). Once the span of a step is
-        small, the remaining offset therefore solves to beta/(1 - beta) times
-        the midpoint of the step; the corrected iterate is accepted only after
-        a verification sweep confirms the residual. Returns (values, sweeps,
-        residual). Raises MaxIterExceeded when the cap is hit with the residual
-        still above tolerance.
+        Newton's method on V = soft(r + discount W V) from V = soft(q0), q0 = 0
+        by default: an iteration sets Q = r + discount W V, returns Q if its
+        residual HQ - Q = discount W (soft(Q) - V) is within tol, and else
+        solves (I - Pi discount W) dV = soft(Q) - V at Q's softmax policy Pi.
+        Returns (values, iterations, residual); an accepted start is one
+        iteration. Raises MaxIterExceeded when max_iter iterations leave the
+        residual above tol.
         """
         if not tol > 0.0:
             raise InvalidParams("tol must be positive")
-        beta = self.model.discount
-        span_gate = tol * (1.0 - beta)
-        q = np.zeros_like(self.node_rewards) if q0 is None else np.asarray(q0, dtype=np.float64)
-        q_next = self.apply(q, node_rewards)
-        sweeps, corrected = 1, False
+        if not isinstance(max_iter, (int, np.integer)) or max_iter < 1:
+            raise InvalidParams(f"max_iter must be a positive integer, got {max_iter!r}")
+        r = self.node_rewards if node_rewards is None else node_rewards
+        v = self.soft_values(np.zeros_like(r) if q0 is None else np.asarray(q0, dtype=np.float64)).ravel()
+        iterations = 1
         while True:
-            step = q_next - q
-            d_max, d_min = float(step.max()), float(step.min())
-            residual = max(d_max, -d_min)
+            q = r + self.propagate(v)
+            step = self.soft_values(q).ravel() - v
+            residual = float(np.max(np.abs(self.propagate(step))))
             if residual <= tol:
-                return (q if corrected else q_next), sweeps, residual
-            if max_iter is None and beta == 0.0:
-                max_iter = 2
-            elif max_iter is None:
-                # Geometric decay reaches tol * (1 - beta) within this many sweeps.
-                max_iter = int(np.ceil(np.log(span_gate / residual) / np.log(beta))) + 10
-            if sweeps >= max_iter:
+                return q, iterations, residual
+            if iterations >= max_iter:
                 raise MaxIterExceeded(
-                    f"Bellman residual {residual:.3e} above tol {tol:.1e} after {sweeps} sweeps",
+                    f"Bellman residual {residual:.3e} above tol {tol:.1e} after {iterations} Newton iterations",
                     residual=residual,
-                    iterations=sweeps,
+                    iterations=iterations,
                 )
-            corrected = beta > 0.0 and d_max - d_min <= span_gate
-            q = q_next + beta / (1.0 - beta) * 0.5 * (d_max + d_min) if corrected else q_next
-            q_next = self.apply(q, node_rewards)
-            sweeps += 1
+            v = v + self.policy_solve(q)(step)
+            iterations += 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -209,7 +240,7 @@ def solve(
     grid: BeliefGrid | None = None,
     resolution: int = 101,
     tol: float = 1e-9,
-    max_iter: int | None = None,
+    max_iter: int = MAX_NEWTON_ITERATIONS,
     q0: QTable | None = None,
 ) -> SolveResult:
     """Solve the soft Bellman fixed point on a belief grid."""
@@ -267,4 +298,4 @@ def load_qtable(path) -> QTable:
     if payload["euler_gamma"] != EULER_GAMMA:
         raise InvalidParams(f"euler_gamma must be {EULER_GAMMA!r}, got {payload['euler_gamma']!r}")
     grid = BeliefGrid.create(*(json_number(payload, k, integer=True) for k in ("n_states", "resolution")))
-    return QTable(np.asarray(payload["values"], dtype=np.float64), grid, str(payload["model_key"]))
+    return QTable(json_array(payload, "values"), grid, str(payload["model_key"]))

@@ -224,7 +224,7 @@ def cmd_bellman_solve(args) -> int:
     result = solve(model, resolution=args.resolution, tol=args.tol)
     save_qtable(result.qtable, args.out)
     print(
-        f"solved in {result.iterations} sweeps, residual {result.residual:.3e}; "
+        f"solved in {result.iterations} Newton iterations, residual {result.residual:.3e}; "
         f"wrote {args.out}"
     )
     return 0

@@ -27,7 +27,7 @@ from scipy.special import expit, softmax
 
 from .bellman import BeliefGrid, _softmax_actions, solve as bellman_solve
 from .errors import InvalidParams, ParseError, SchemaError
-from .model import Belief, History, PomdpModel, bayes_posterior, block_table, json_number, read_json_object
+from .model import Belief, History, PomdpModel, bayes_posterior, block_table, json_array, json_number, read_json_object
 
 _ROW_TOL = 1e-9
 N_INCREMENTS = 4
@@ -107,9 +107,9 @@ def load_params(path) -> EngineParams:
         ("n_mileage_bins",),
     )
     return EngineParams(
-        persistence=np.asarray(payload["persistence"], dtype=np.float64),
-        increments=np.asarray(payload["increments"], dtype=np.float64),
-        cost_slopes=np.asarray(payload["cost_slopes"], dtype=np.float64),
+        persistence=json_array(payload, "persistence"),
+        increments=json_array(payload, "increments"),
+        cost_slopes=json_array(payload, "cost_slopes"),
         replacement_cost=float(json_number(payload, "replacement_cost")),
         n_mileage_bins=json_number({"n_mileage_bins": 120, **payload}, "n_mileage_bins", integer=True),
     )

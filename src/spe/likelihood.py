@@ -8,16 +8,14 @@ the whole likelihood is a function of the model parameters only.
 For estimation the beliefs are frozen at the dynamics estimate and only the
 choice term varies with the reward parameters; its gradient uses the score
 identity grad log pi(a) = g(a) - sum_a' pi(a') g(a') where g = grad Q solves a
-linear fixed point with the same successor matrix as the Bellman operator,
-solved directly by one sparse LU factorization.
+linear fixed point in the system that each Newton step of the Bellman solve
+factors, solved directly by one sparse LU.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.linalg import splu
 
 from .bellman import BellmanSolver, QTable, _logsumexp_actions, _softmax_actions
 from .bellman import solve as bellman_solve
@@ -375,10 +373,9 @@ def grad_q(
     reward_grad[a, z, s, p] = d r(a, z, s) / d theta_p. grad Q solves
     g = grad r + discount * W Pi g, where Pi averages a (z, node) row's actions
     under the table's softmax policy. The policy average v = Pi g therefore
-    solves (I - Pi discount W) v = Pi grad r over the (z, node) rows; one
-    sparse LU factorization solves it for every parameter at once, and
-    g = grad r + discount * W v. Raises MaxIterExceeded when the solution's
-    residual max |Pi g - v| is above tol.
+    solves (I - Pi discount W) v = Pi grad r, one BellmanSolver.policy_solve
+    for every parameter, and g = grad r + discount * W v. Raises
+    MaxIterExceeded when the solution's residual max |Pi g - v| is above tol.
     """
     if not tol > 0.0:
         raise InvalidParams("tol must be positive")
@@ -387,16 +384,10 @@ def grad_q(
     reward_grad = np.asarray(reward_grad, dtype=np.float64)
     n_p = reward_grad.shape[-1]
     rg_nodes = np.einsum("azsp,gs->zgap", reward_grad, qtable.grid.nodes)
-    pis = _softmax_actions(qtable.values)
-    # Row (z, node) of the policy matrix holds that node's action probabilities.
-    policy = sparse.csr_matrix(
-        (pis.ravel(), np.arange(pis.size), np.arange(0, pis.size + 1, pis.shape[-1]))
-    )
-    system = (sparse.identity(policy.shape[0]) - policy @ solver.successors).tocsc()
-    # Narrow supernodes: SuperLU's defaults take about twice the time, and more memory, here.
-    v = splu(system, panel_size=1, relax=1).solve(policy @ rg_nodes.reshape(-1, n_p))
+    pis = _softmax_actions(qtable.values)[..., None]
+    v = solver.policy_solve(qtable.values)((pis * rg_nodes).sum(axis=2).reshape(-1, n_p))
     g = rg_nodes + solver.propagate_stack(v)
-    residual = float(np.max(np.abs(policy @ g.reshape(-1, n_p) - v)))
+    residual = float(np.max(np.abs((pis * g).sum(axis=2).reshape(-1, n_p) - v)))
     if not residual <= tol:
         raise MaxIterExceeded(
             f"grad-Q residual {residual:.3e} above tol {tol:.1e} after the direct solve",

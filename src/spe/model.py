@@ -246,6 +246,24 @@ def json_number(payload: dict, key: str, integer: bool = False):
     return value
 
 
+def json_array(payload: dict, key: str) -> np.ndarray:
+    """payload[key] as a float array if every leaf of its nested lists is a JSON number.
+
+    np.asarray alone would read "0.9" and true as numbers.
+    """
+    stack = [payload[key]]
+    while stack:
+        value = stack.pop()
+        if isinstance(value, list):
+            stack.extend(value)
+        elif type(value) not in (int, float):
+            raise InvalidParams(f"{key} must hold only numbers, got {value!r}")
+    try:
+        return np.asarray(payload[key], dtype=np.float64)
+    except ValueError:
+        raise InvalidParams(f"{key} must be a rectangular array of numbers") from None
+
+
 def save_model(model: PomdpModel, path) -> None:
     payload = {
         "n_states": model.n_states,
@@ -268,7 +286,7 @@ def load_model(path) -> PomdpModel:
         n_states=json_number(payload, "n_states", integer=True),
         n_obs=json_number(payload, "n_obs", integer=True),
         n_actions=json_number(payload, "n_actions", integer=True),
-        kernel=np.asarray(payload["kernel"], dtype=np.float64),
-        reward=np.asarray(payload["reward"], dtype=np.float64),
+        kernel=json_array(payload, "kernel"),
+        reward=json_array(payload, "reward"),
         discount=float(json_number(payload, "discount")),
     )

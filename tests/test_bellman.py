@@ -16,6 +16,7 @@ from spe import (
     MaxIterExceeded,
     PomdpModel,
     QTable,
+    build_engine_model,
     ccp,
     finite_horizon_solve,
     grad_q,
@@ -26,7 +27,8 @@ from spe import (
     soft_value,
     solve,
 )
-from spe.bellman import BellmanSolver, _logsumexp_actions, _softmax_actions
+from spe.bellman import BellmanSolver, _logsumexp_actions, _softmax_actions, _successors_first
+from spe.model import block_table
 from spe.model import SIGMA_FLOOR
 from support import qtable_bound, random_model, sparse_random_model
 
@@ -219,10 +221,12 @@ def test_warm_start_accepted_fast():
 
 
 def test_span_correction_matches_plain_iteration():
-    # the accelerated solve must land on the same fixed point as brute force;
-    # plain sweeps shrink the error by beta each, so 0.99 needs about 5x more
-    for discount, sweeps in ((0.95, 900), (0.99, 4500)):
-        m = random_model(seed=23, discount=discount)
+    # the Newton solve must land on the same fixed point as brute force;
+    # plain sweeps shrink the error by beta each, so 0.99 needs about 5x more.
+    # The sparse models add unreachable kernel blocks and dead successor rows.
+    cases = [(random_model(seed=23, discount=0.95), 900), (random_model(seed=23, discount=0.99), 4500)]
+    cases += [(sparse_random_model(seed=n, n_states=n), 900) for n in (1, 2, 3)]
+    for m, sweeps in cases:
         grid = BeliefGrid.create(m.n_states, 9)
         solver = BellmanSolver(m, grid)
         res = solve(m, grid=grid, tol=1e-11)
@@ -230,6 +234,48 @@ def test_span_correction_matches_plain_iteration():
         for _ in range(sweeps):
             q = solver.apply(q)
         np.testing.assert_allclose(res.qtable.values, q, atol=1e-8)
+
+
+def test_cold_solve_costs_the_same_near_discount_one(ref_params):
+    # Newton's iteration count barely grows with the discount, where the
+    # sweeps of value iteration grow like 1 / (1 - beta)
+    grid = BeliefGrid.create(2, 31)
+    counts = {
+        beta: BellmanSolver(build_engine_model(ref_params, beta), grid).solve()[1]
+        for beta in (0.95, 0.99)
+    }
+    assert counts[0.99] <= counts[0.95] + 2
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+def test_factor_order_puts_successors_first(ref_params, reverse):
+    # only the moves into the replacement bin may point later in the factor
+    # order, whichever way the mileage bins are labelled
+    kernel = build_engine_model(ref_params).kernel
+    if reverse:
+        kernel = kernel[:, ::-1, :, ::-1, :]
+    moves = (block_table(kernel)[0] > 0).any(axis=0)
+    order = _successors_first(moves)
+    np.testing.assert_array_equal(np.sort(order), np.arange(moves.shape[0]))
+    pos = np.argsort(order)
+    z, z2 = np.nonzero(moves)
+    assert set(z2[pos[z2] > pos[z]]) == {order[-1]} == {moves.shape[0] - 1 if reverse else 0}
+
+
+def test_solve_indifferent_to_observable_labels(ref_params):
+    m = build_engine_model(ref_params)
+    flipped = PomdpModel(
+        m.n_states, m.n_obs, m.n_actions, m.kernel[:, ::-1, :, ::-1, :], m.reward[:, ::-1, :], m.discount
+    )
+    grid = BeliefGrid.create(2, 11)
+    q = solve(m, grid=grid).qtable.values
+    np.testing.assert_allclose(solve(flipped, grid=grid).qtable.values[::-1], q, rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize("max_iter", [None, 0, 2.5])
+def test_max_iter_must_be_positive_integer(max_iter):
+    with pytest.raises(InvalidParams, match="max_iter"):
+        solve(random_model(seed=1), resolution=5, max_iter=max_iter)
 
 
 def test_sparse_operator_matches_gather():
@@ -318,3 +364,16 @@ def test_qtable_shape_validation(tmp_path):
     path.write_text(json.dumps([payload]))
     with pytest.raises(InvalidParams, match="JSON object"):
         load_qtable(path)
+
+
+def test_qtable_file_values_need_numbers(tmp_path):
+    # np.asarray(..., dtype=float64) would read "0.5" as 0.5 and true as 1.0
+    grid = BeliefGrid.create(2, 5)
+    path = tmp_path / "q.json"
+    save_qtable(QTable(np.zeros((2, grid.n_nodes, 2)), grid, "k"), path)
+    payload = json.loads(path.read_text())
+    for leaf in ("0.5", True, None):
+        values = [[[0.0, 0.0]] * grid.n_nodes, [[0.0, leaf]] + [[0.0, 0.0]] * (grid.n_nodes - 1)]
+        path.write_text(json.dumps({**payload, "values": values}))
+        with pytest.raises(InvalidParams, match="values must hold only numbers"):
+            load_qtable(path)

@@ -137,6 +137,26 @@ def test_params_file_validation(tmp_path):
 @pytest.mark.parametrize(
     "field, value",
     [
+        ("persistence", ["0.949", True]),
+        ("increments", [[0.039, 0.333, 0.590, 0.038], [0.181, 0.757, 0.061, "0.001"]]),
+        ("cost_slopes", [0.2, True]),
+        ("cost_slopes", [0.2, None]),
+    ],
+)
+def test_params_file_array_fields_need_numbers(tmp_path, ref_params, field, value):
+    # np.asarray(..., dtype=float64) would load ["0.949", true] as [0.949, 1.0]
+    path = tmp_path / "params.json"
+    save_params(ref_params, path)
+    payload = json.loads(path.read_text())
+    payload[field] = value
+    path.write_text(json.dumps(payload))
+    with pytest.raises(InvalidParams, match=f"{field} must hold only numbers"):
+        load_params(path)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
         ("persistence", [np.nan, 0.988]),
         ("increments", [[0.039, 0.333, np.nan, 0.038], [0.181, 0.757, 0.061, 0.001]]),
         ("n_mileage_bins", np.nan),

@@ -282,6 +282,28 @@ def test_model_validation(tmp_path):
             spe.load_model(path)
 
 
+@pytest.mark.parametrize(
+    "key, path, value",
+    [("kernel", (0, 1, 0, 0, 1), "0.25"), ("kernel", (0, 0, 1, 1, 0), True), ("reward", (0, 1, 0), False)],
+)
+def test_model_file_array_fields_need_numbers(tmp_path, key, path, value):
+    # np.asarray(..., dtype=float64) reads "0.25" as 0.25 and true as 1.0
+    file = tmp_path / "model.json"
+    spe.save_model(two_state_hand_model(), file)
+    payload = json.loads(file.read_text())
+    inner = payload[key]
+    for i in path[:-1]:
+        inner = inner[i]
+    inner[path[-1]] = value
+    file.write_text(json.dumps(payload))
+    with pytest.raises(InvalidParams, match=f"{key} must hold only numbers, got {value!r}"):
+        spe.load_model(file)
+    payload[key] = [[0.5], 0.5]
+    file.write_text(json.dumps(payload))
+    with pytest.raises(InvalidParams, match=f"{key} must be a rectangular array"):
+        spe.load_model(file)
+
+
 @pytest.mark.parametrize("value", [np.nan, np.inf])
 def test_model_refuses_non_finite_kernel_entries(value):
     # NaN fails both "< 0" and "> tol", so a NaN kernel used to pass both checks
