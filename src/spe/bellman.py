@@ -21,7 +21,6 @@ triangular apart from its replacement bin's columns, and the factor sparse.
 from __future__ import annotations
 
 import functools
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +29,8 @@ from scipy.sparse.linalg import splu
 
 from .errors import InvalidParams, MaxIterExceeded
 from .grid import BeliefGrid
-from .model import EULER_GAMMA, PomdpModel, bayes_posterior, block_table, json_array, json_number, read_json_object
+from .model import EULER_GAMMA, PomdpModel, bayes_posterior, block_table, json_array, json_number
+from .model import read_json_object, write_json_object
 
 MAX_NEWTON_ITERATIONS = 50   # BellmanSolver.solve's cap; cold engine solves take 4 or 5
 
@@ -153,9 +153,12 @@ class BellmanSolver:
         self.node_rewards = self.expected_rewards(model.reward)
 
     def expected_rewards(self, reward: np.ndarray) -> np.ndarray:
-        """Belief-averaged rewards at grid nodes, shape (n_obs, n_nodes, n_actions)."""
-        # reward is (a, z, s); nodes are (g, s).
-        return np.einsum("azs,gs->zga", np.asarray(reward, dtype=np.float64), self.grid.nodes)
+        """Belief-averaged rewards at grid nodes, shape (n_obs, n_nodes, n_actions, ...).
+
+        reward is (a, z, s, ...): trailing axes, such as the parameters of a
+        reward gradient, are carried through. Nodes are (g, s).
+        """
+        return np.einsum("azs...,gs->zga...", np.asarray(reward, dtype=np.float64), self.grid.nodes)
 
     def soft_values(self, qvalues: np.ndarray) -> np.ndarray:
         return EULER_GAMMA + _logsumexp_actions(qvalues)
@@ -286,9 +289,7 @@ def save_qtable(q: QTable, path) -> None:
         "euler_gamma": EULER_GAMMA,
         "values": q.values.tolist(),
     }
-    with open(path, "w") as fh:
-        json.dump(payload, fh)
-        fh.write("\n")
+    write_json_object(payload, path)
 
 
 def load_qtable(path) -> QTable:

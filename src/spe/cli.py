@@ -7,8 +7,10 @@ Every JSON input file (model, parameter, config) is read by
 model.read_json_object and fails the same way. evaluate, bellman-solve and
 each side of identify-probe take a model file (--model) or engine parameters
 (--params), not both; evaluate and bellman-solve fall back to the reference
-values. Report files embed the resolved configuration and a content hash
-of their inputs so runs can be traced.
+values. The reports of estimate, evaluate, sensitivity and identify-probe
+are written by one function: every parsed argument, then the SHA-256 of
+each input file (null when the file is not given), then the results, so a
+run can be traced to the files and settings that produced it.
 
 Threading: --threads (or the SPE_THREADS environment variable) caps the
 linear-algebra thread pools before the numerical stack is loaded. It only
@@ -20,7 +22,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
-import json
 import os
 import sys
 
@@ -67,10 +68,18 @@ def _parse_x0(text: str):
     return parts
 
 
-def _write_json(payload: dict, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+_INPUT_FILES = ("data", "config", "model", "params", "model_a", "model_b", "params_a", "params_b")
+
+
+def _write_report(path, args, **results) -> None:
+    """The report at path: every parsed argument, the hash of each input file, then results."""
+    from .model import write_json_object
+
+    payload = {k: v for k, v in vars(args).items() if k != "func"}
+    for name in _INPUT_FILES:
+        if name in payload:
+            payload[f"{name}_sha256"] = _sha256(payload[name]) if payload[name] else None
+    write_json_object({**payload, **results}, path, indent=2)
 
 
 def _resolve_config(args) -> "object":
@@ -93,8 +102,8 @@ def _resolve_config(args) -> "object":
 
 
 def _model_source(model_path, params_path, discount):
-    """(model, path): the generic model file, else the engine model at the
-    parameter file, else the engine model at the reference values (path None).
+    """The generic model file, else the engine model at the parameter file,
+    else the engine model at the reference values.
     """
     from .engine import build_engine_model, load_params, reference_params
     from .model import load_model
@@ -102,9 +111,9 @@ def _model_source(model_path, params_path, discount):
     if model_path and params_path:
         raise ValueError("give a model file or a parameter file, not both")
     if model_path:
-        return load_model(model_path), model_path
+        return load_model(model_path)
     params = load_params(params_path) if params_path else reference_params()
-    return build_engine_model(params, discount), params_path
+    return build_engine_model(params, discount)
 
 
 def cmd_simulate(args) -> int:
@@ -143,22 +152,13 @@ def cmd_estimate(args) -> int:
     config = _resolve_config(args)
     if args.family == "mdp":
         report = fit_mdp_baseline(
-            histories, config, n_mileage_bins=args.bins, discount=args.discount
+            histories, config, n_mileage_bins=args.n_mileage_bins, discount=args.discount
         )
     else:
-        family = EngineFamily(n_mileage_bins=args.bins, discount=args.discount)
+        family = EngineFamily(n_mileage_bins=args.n_mileage_bins, discount=args.discount)
         report = estimate(histories, family, config)
-    payload = {
-        "command": "estimate",
-        "family": args.family,
-        "data": str(args.data),
-        "data_sha256": _sha256(args.data),
-        "n_mileage_bins": args.bins,
-        "discount": args.discount,
-        "report": report.to_dict(),
-    }
     if args.out:
-        _write_json(payload, args.out)
+        _write_report(args.out, args, report=report.to_dict())
     for name, value in report.labeled.items():
         print(f"{name:24s} {value}")
     ll = report.loglik
@@ -190,37 +190,21 @@ def cmd_evaluate(args) -> int:
     from .likelihood import log_likelihood
 
     histories = load_dataset(args.data)
-    model, source = _model_source(args.model, args.params, args.discount)
+    model = _model_source(args.model, args.params, args.discount)
     ll = log_likelihood(model, histories, resolution=args.grid_resolution)
     print(
         f"loglik total {ll.total:.6f} (obs {ll.obs_term:.6f}, "
         f"choice {ll.choice_term:.6f}, prior {ll.prior_term:.6f})"
     )
     if args.out:
-        _write_json(
-            {
-                "command": "evaluate",
-                "data": str(args.data),
-                "data_sha256": _sha256(args.data),
-                "model": str(source) if source else "reference",
-                "model_sha256": _sha256(source) if source else None,
-                "grid_resolution": args.grid_resolution,
-                "loglik": {
-                    "obs_term": ll.obs_term,
-                    "choice_term": ll.choice_term,
-                    "prior_term": ll.prior_term,
-                    "total": ll.total,
-                },
-            },
-            args.out,
-        )
+        _write_report(args.out, args, loglik=ll.to_dict())
     return 0
 
 
 def cmd_bellman_solve(args) -> int:
     from .bellman import save_qtable, solve
 
-    model, _ = _model_source(args.model, args.params, args.discount)
+    model = _model_source(args.model, args.params, args.discount)
     result = solve(model, resolution=args.resolution, tol=args.tol)
     save_qtable(result.qtable, args.out)
     print(
@@ -238,9 +222,9 @@ def cmd_sensitivity(args) -> int:
 
     histories = load_dataset(args.data)
     config = _resolve_config(args)
-    family = EngineFamily(n_mileage_bins=args.bins, discount=args.discount)
+    family = EngineFamily(n_mileage_bins=args.n_mileage_bins, discount=args.discount)
     m_values = [int(m) for m in args.m.split(",")]
-    p = np.linspace(0.0, 1.0, args.candidates)
+    p = np.linspace(0.0, 1.0, args.n_candidates)
     result = x0_sweep_estimate(
         histories, family, config, m_values=m_values, candidates=np.stack([p, 1.0 - p], axis=1)
     )
@@ -249,17 +233,13 @@ def cmd_sensitivity(args) -> int:
         fh.write(csv_text)
     print(csv_text, end="")
     if args.report:
-        _write_json(
-            {
-                "command": "sensitivity",
-                "data": str(args.data),
-                "data_sha256": _sha256(args.data),
-                "m_values": result.m_values,
-                "spreads": result.spreads,
-                "n_candidates": int(result.candidates.shape[0]),
-                "config": dataclasses.asdict(config),
-            },
+        _write_report(
             args.report,
+            args,
+            m_values=result.m_values,
+            spreads=result.spreads,
+            n_candidates=int(result.candidates.shape[0]),
+            config=dataclasses.asdict(config),
         )
     return 0
 
@@ -269,8 +249,8 @@ def cmd_identify_probe(args) -> int:
 
     if not (args.model_a or args.params_a) or not (args.model_b or args.params_b):
         raise ValueError("each side needs --model-X or --params-X")
-    model_a, _ = _model_source(args.model_a, args.params_a, args.discount)
-    model_b, _ = _model_source(args.model_b, args.params_b, args.discount)
+    model_a = _model_source(args.model_a, args.params_a, args.discount)
+    model_b = _model_source(args.model_b, args.params_b, args.discount)
     x0 = [float(p) for p in args.x0.split(",")]
     probe = two_period_identification_probe(model_a, model_b, x0, tol=args.tol)
     if probe.distinguishable:
@@ -279,16 +259,13 @@ def cmd_identify_probe(args) -> int:
         suffix = " (rank-one pair: two-period argument does not apply)" if probe.rank1_pair else ""
         print(f"not distinguishable within two periods{suffix}")
     if args.out:
-        _write_json(
-            {
-                "command": "identify-probe",
-                "distinguishable": probe.distinguishable,
-                "period": probe.period,
-                "witness": list(probe.witness) if probe.witness else None,
-                "rank1_pair": probe.rank1_pair,
-                "tol": args.tol,
-            },
+        _write_report(
             args.out,
+            args,
+            distinguishable=probe.distinguishable,
+            period=probe.period,
+            witness=list(probe.witness) if probe.witness else None,
+            rank1_pair=probe.rank1_pair,
         )
     return 0
 
@@ -301,6 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="cap linear-algebra thread pools (default: SPE_THREADS or unlimited)",
     )
+    common.add_argument("--discount", type=float, default=0.95)
 
     parser = argparse.ArgumentParser(
         prog="spe", description="Estimation of partially observable controlled processes"
@@ -315,7 +293,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--out", required=True, help="output JSONL path")
     p_sim.add_argument("--x0", default="uniform", help='"uniform" or comma-separated belief')
     p_sim.add_argument("--z0", type=int, default=0)
-    p_sim.add_argument("--discount", type=float, default=0.95)
     p_sim.add_argument("--grid-resolution", type=int, default=101)
     p_sim.add_argument("--debug-sidecar", action="store_true", help="also write latent draws")
     p_sim.set_defaults(func=cmd_simulate)
@@ -324,8 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_est.add_argument("--data", required=True)
     p_est.add_argument("--out", help="report JSON path")
     p_est.add_argument("--family", choices=("pomdp", "mdp"), default="pomdp")
-    p_est.add_argument("--bins", type=int, default=120)
-    p_est.add_argument("--discount", type=float, default=0.95)
+    p_est.add_argument("--bins", dest="n_mileage_bins", type=int, default=120)
     p_est.add_argument("--config", help="EstimatorConfig JSON (unknown fields rejected)")
     p_est.add_argument("--grid-resolution", type=int, default=None)
     p_est.add_argument("--step-size", type=float, default=None)
@@ -338,7 +314,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--data", required=True)
     p_eval.add_argument("--params", help="engine parameter JSON")
     p_eval.add_argument("--model", help="generic model JSON")
-    p_eval.add_argument("--discount", type=float, default=0.95)
     p_eval.add_argument("--grid-resolution", type=int, default=101)
     p_eval.add_argument("--out")
     p_eval.set_defaults(func=cmd_evaluate)
@@ -346,7 +321,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bell = sub.add_parser("bellman-solve", parents=[common], help="solve and store a Q table")
     p_bell.add_argument("--model", help="generic model JSON")
     p_bell.add_argument("--params", help="engine parameter JSON")
-    p_bell.add_argument("--discount", type=float, default=0.95)
     p_bell.add_argument("--resolution", type=int, default=101)
     p_bell.add_argument("--tol", type=float, default=1e-9)
     p_bell.add_argument("--out", required=True)
@@ -357,9 +331,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_sens.add_argument("--data", required=True)
     p_sens.add_argument("--m", default="1,2,4,8,16", help="comma-separated burn-in values")
-    p_sens.add_argument("--candidates", type=int, default=11)
-    p_sens.add_argument("--bins", type=int, default=120)
-    p_sens.add_argument("--discount", type=float, default=0.95)
+    p_sens.add_argument("--candidates", dest="n_candidates", type=int, default=11)
+    p_sens.add_argument("--bins", dest="n_mileage_bins", type=int, default=120)
     p_sens.add_argument("--config")
     p_sens.add_argument("--grid-resolution", type=int, default=None)
     p_sens.add_argument("--out", required=True, help="CSV output path")
@@ -374,7 +347,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ident.add_argument("--params-a", help="engine parameter JSON")
     p_ident.add_argument("--params-b", help="engine parameter JSON")
     p_ident.add_argument("--x0", default="0.5,0.5")
-    p_ident.add_argument("--discount", type=float, default=0.95)
     p_ident.add_argument("--tol", type=float, default=1e-9)
     p_ident.add_argument("--out")
     p_ident.set_defaults(func=cmd_identify_probe)

@@ -27,7 +27,8 @@ from scipy.special import expit, softmax
 
 from .bellman import BeliefGrid, _softmax_actions, solve as bellman_solve
 from .errors import InvalidParams, ParseError, SchemaError
-from .model import Belief, History, PomdpModel, bayes_posterior, block_table, json_array, json_number, read_json_object
+from .model import Belief, History, PomdpModel, bayes_posterior, block_table, json_array, json_number
+from .model import read_json_object, write_json_object
 
 _ROW_TOL = 1e-9
 N_INCREMENTS = 4
@@ -94,9 +95,7 @@ def save_params(params: EngineParams, path) -> None:
         "replacement_cost": params.replacement_cost,
         "n_mileage_bins": params.n_mileage_bins,
     }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    write_json_object(payload, path, indent=2)
 
 
 def load_params(path) -> EngineParams:
@@ -371,11 +370,10 @@ class SimConfig:
         if isinstance(self.x0, str):
             if self.x0 != "uniform":
                 raise InvalidParams(f"unknown x0 policy {self.x0!r}")
+        elif np.shape(self.x0) != (2,):
+            raise InvalidParams("fixed x0 must be a two-entry belief")
         else:
-            probs = np.asarray(self.x0, dtype=np.float64)
-            # Written so that NaN fails; the sum tolerance is Belief's.
-            if not (probs.shape == (2,) and np.all(probs >= 0) and abs(probs.sum() - 1.0) <= 1e-12):
-                raise InvalidParams("fixed x0 must be a two-entry belief")
+            Belief(self.x0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -464,28 +462,24 @@ def simulate(params: EngineParams, config: SimConfig) -> SimResult:
     return SimResult(histories, states, beliefs)
 
 
+def write_json_lines(records, path) -> None:
+    """Write each record as one compact JSON line: every JSON-lines file the package writes."""
+    with open(path, "w") as fh:
+        for record in records:
+            fh.write(json.dumps(record))
+            fh.write("\n")
+
+
 def emit_dataset(histories: list, path) -> None:
     """Write histories as JSON lines: {"x0": [...], "z": [...], "a": [...]}."""
-    with open(path, "w") as fh:
-        for h in histories:
-            fh.write(
-                json.dumps(
-                    {"x0": h.x0.probs.tolist(), "z": h.obs.tolist(), "a": h.acts.tolist()}
-                )
-            )
-            fh.write("\n")
+    records = ({"x0": h.x0.probs.tolist(), "z": h.obs.tolist(), "a": h.acts.tolist()} for h in histories)
+    write_json_lines(records, path)
 
 
 def emit_debug_sidecar(result: SimResult, path) -> None:
     """Latent conditions and decision-time beliefs, aligned with the dataset."""
-    with open(path, "w") as fh:
-        for i in range(len(result.histories)):
-            fh.write(
-                json.dumps(
-                    {"s": result.states[i].tolist(), "x": result.beliefs[i].tolist()}
-                )
-            )
-            fh.write("\n")
+    records = ({"s": s.tolist(), "x": x.tolist()} for s, x in zip(result.states, result.beliefs))
+    write_json_lines(records, path)
 
 
 def load_dataset(path) -> list:

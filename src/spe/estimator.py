@@ -141,12 +141,7 @@ class EstimateReport:
             "theta1": np.asarray(self.theta1).tolist(),
             "theta2": np.asarray(self.theta2).tolist(),
             "labeled": self.labeled,
-            "loglik": {
-                "obs_term": self.loglik.obs_term,
-                "choice_term": self.loglik.choice_term,
-                "prior_term": self.loglik.prior_term,
-                "total": self.loglik.total,
-            },
+            "loglik": self.loglik.to_dict(),
             "stage1": {
                 "obs_loglik": self.stage1.obs_loglik,
                 "trace": list(self.stage1.trace),

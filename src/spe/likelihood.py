@@ -13,7 +13,7 @@ factors, solved directly by one sparse LU.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -235,6 +235,10 @@ class LogLikelihood:
     def total(self) -> float:
         return self.obs_term + self.choice_term + self.prior_term
 
+    def to_dict(self) -> dict:
+        """The three terms and their total, as reports record them."""
+        return {**asdict(self), "total": self.total}
+
 
 @dataclass(eq=False)
 class ChoicePoints:
@@ -247,7 +251,6 @@ class ChoicePoints:
     actions: np.ndarray      # (m,)
     flat_idx: np.ndarray     # (m, n_states)
     node_w: np.ndarray       # (m, n_states)
-    n_histories: int
 
     @classmethod
     def from_filtered(
@@ -264,19 +267,17 @@ class ChoicePoints:
             acs.append(h.acts)
             beliefs.append(f.beliefs)
         if not zs:
-            empty = np.zeros((0, grid.n_states))
             return cls(
                 np.zeros(0, dtype=np.int64),
                 np.zeros((0, grid.n_states), dtype=np.int64),
-                empty,
-                len(histories),
+                np.zeros((0, grid.n_states)),
             )
         z = np.concatenate(zs)
         a = np.concatenate(acs)
         x = np.concatenate(beliefs, axis=0)
         idx, w = grid.interpolate_many(x)
         flat = z[:, None] * grid.n_nodes + idx
-        return cls(a, flat, w, len(histories))
+        return cls(a, flat, w)
 
     @property
     def n_steps(self) -> int:
@@ -287,26 +288,22 @@ class ChoicePoints:
         flat = qvalues.reshape(-1, qvalues.shape[-1])
         return np.einsum("mn,mna->ma", self.node_w, flat[self.flat_idx])
 
-    def sum_log_pi(self, qvalues: np.ndarray) -> float:
-        if self.n_steps == 0:
-            return 0.0
+    def _log_pi_terms(self, qvalues: np.ndarray):
+        """(rows, lse, picked): the q_rows, their log-sum-exp and the value of each taken action."""
         rows = self.q_rows(qvalues)
-        lse = _logsumexp_actions(rows)
-        picked = rows[np.arange(rows.shape[0]), self.actions]
+        return rows, _logsumexp_actions(rows), rows[np.arange(self.n_steps), self.actions]
+
+    def sum_log_pi(self, qvalues: np.ndarray) -> float:
+        _, lse, picked = self._log_pi_terms(qvalues)
         return float((picked - lse).sum())
 
     def grad_sum_log_pi(self, qvalues: np.ndarray, gvalues: np.ndarray):
         """Value of the choice term and its (m, p) per-decision scores."""
-        if self.n_steps == 0:
-            return 0.0, np.zeros((0, gvalues.shape[-1]))
-        rows = self.q_rows(qvalues)
-        lse = _logsumexp_actions(rows)
+        rows, lse, picked = self._log_pi_terms(qvalues)
         rows_pi = np.exp(rows - lse[:, None])
-        m = rows.shape[0]
-        picked = rows[np.arange(m), self.actions]
         gflat = gvalues.reshape(-1, gvalues.shape[-2], gvalues.shape[-1])
         grows = np.einsum("mn,mnap->map", self.node_w, gflat[self.flat_idx])
-        score = grows[np.arange(m), self.actions, :] - np.einsum("ma,map->mp", rows_pi, grows)
+        score = grows[np.arange(self.n_steps), self.actions, :] - np.einsum("ma,map->mp", rows_pi, grows)
         return float((picked - lse).sum()), score
 
 
@@ -381,9 +378,8 @@ def grad_q(
         raise InvalidParams("tol must be positive")
     if solver is None:
         solver = BellmanSolver(model, qtable.grid)
-    reward_grad = np.asarray(reward_grad, dtype=np.float64)
-    n_p = reward_grad.shape[-1]
-    rg_nodes = np.einsum("azsp,gs->zgap", reward_grad, qtable.grid.nodes)
+    rg_nodes = solver.expected_rewards(reward_grad)
+    n_p = rg_nodes.shape[-1]
     pis = _softmax_actions(qtable.values)[..., None]
     v = solver.policy_solve(qtable.values)((pis * rg_nodes).sum(axis=2).reshape(-1, n_p))
     g = rg_nodes + solver.propagate_stack(v)

@@ -238,6 +238,17 @@ def read_json_object(path, kind: str, required, optional=()) -> dict:
     return payload
 
 
+def write_json_object(payload: dict, path, indent: int | None = None) -> None:
+    """Write payload to path as one JSON object and a newline: every JSON file the package writes.
+
+    Models and Q tables, mostly arrays, stay compact; parameter files and
+    command reports are written with indent=2.
+    """
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=indent)
+        fh.write("\n")
+
+
 def json_number(payload: dict, key: str, integer: bool = False):
     """payload[key] if a JSON integer, or a JSON number unless integer; int() reads 2.7 and True."""
     value = payload[key]
@@ -273,9 +284,7 @@ def save_model(model: PomdpModel, path) -> None:
         "kernel": model.kernel.tolist(),
         "reward": model.reward.tolist(),
     }
-    with open(path, "w") as fh:
-        json.dump(payload, fh)
-        fh.write("\n")
+    write_json_object(payload, path)
 
 
 def load_model(path) -> PomdpModel:

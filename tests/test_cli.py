@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import ast
 import dataclasses
+import hashlib
 import json
 import os
 import re
@@ -33,25 +34,39 @@ def test_only_the_cli_prints():
     assert printing == []
 
 
-def test_json_is_read_in_one_place_per_format():
-    # a JSON file is read by model.read_json_object and a JSONL line by
-    # engine.load_dataset, so every input file of one format fails the same way
+def json_calls(names):
+    """Sorted (file, enclosing function, callee) of every call in the package to one of names."""
     package = Path(spe.__file__).parent
-    reads = []
+    calls = []
     for path in package.glob("*.py"):
         tree = ast.parse(path.read_text())
         owner = {}
         for func in ast.walk(tree):    # breadth first: an inner function overwrites its outer one
             if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 owner.update((node, func.name) for node in ast.walk(func))
-        reads += [
+        calls += [
             (path.name, owner.get(node), ast.unparse(node.func))
             for node in ast.walk(tree)
-            if isinstance(node, ast.Call) and ast.unparse(node.func) in ("json.load", "json.loads")
+            if isinstance(node, ast.Call) and ast.unparse(node.func) in names
         ]
-    assert sorted(reads) == [
+    return sorted(calls)
+
+
+def test_json_is_read_in_one_place_per_format():
+    # a JSON file is read by model.read_json_object and a JSONL line by
+    # engine.load_dataset, so every input file of one format fails the same way
+    assert json_calls(("json.load", "json.loads")) == [
         ("engine.py", "load_dataset", "json.loads"),
         ("model.py", "read_json_object", "json.load"),
+    ]
+
+
+def test_json_is_written_in_one_place_per_format():
+    # every JSON file (model, Q table, parameters, report) is written by
+    # model.write_json_object and every JSON-lines file by engine.write_json_lines
+    assert json_calls(("json.dump", "json.dumps")) == [
+        ("engine.py", "write_json_lines", "json.dumps"),
+        ("model.py", "write_json_object", "json.dump"),
     ]
 
 
@@ -468,6 +483,43 @@ def test_identify_probe_cli(tmp_path, capsys):
     rc = run(["identify-probe", "--params-a", pa, "--params-b", pa])
     assert rc == 0
     assert "not distinguishable" in capsys.readouterr().out
+
+
+def test_every_report_names_what_produced_it(tiny_dataset, tmp_path):
+    # each report carries the command, every parsed argument and the SHA-256
+    # of each input file given, so a run can be traced to what produced it
+    from spe.cli import build_parser
+
+    ref = reference_params()
+    pa, pb, cfg = tmp_path / "a.json", tmp_path / "b.json", tmp_path / "cfg.json"
+    save_params(ref, pa)
+    save_params(dataclasses.replace(ref, persistence=np.array([0.7, 0.9])), pb)
+    cfg.write_text(json.dumps({"grid_resolution": 31}))
+    report = tmp_path / "report.json"
+    runs = [
+        (["estimate", "--data", tiny_dataset, "--config", cfg, "--discount", "0.9",
+          "--grad-tol", "5e-2", "--max-iters", "5", "--out", report], ("data", "config")),
+        (["evaluate", "--data", tiny_dataset, "--params", pa, "--discount", "0.9",
+          "--grid-resolution", "31", "--out", report], ("data", "params")),
+        (["sensitivity", "--data", tiny_dataset, "--config", cfg, "--m", "1", "--candidates", "2",
+          "--bins", "120", "--out", tmp_path / "curve.csv", "--report", report], ("data", "config")),
+        (["identify-probe", "--params-a", pa, "--params-b", pb, "--x0", "0.4,0.6",
+          "--discount", "0.9", "--out", report], ("params_a", "params_b")),
+    ]
+    for argv, inputs in runs:
+        argv = [str(a) for a in argv]
+        assert main(argv) in (0, 1)    # 1 only flags an iteration cap; the report is written
+        payload = json.loads(report.read_text())
+        args = vars(build_parser().parse_args(argv))
+        del args["func"]
+        assert payload["command"] == argv[0]
+        # sensitivity records the resolved config in place of its file name
+        shown = set(args) - ({"config"} if argv[0] == "sensitivity" else set())
+        assert {k: payload[k] for k in shown} == {k: args[k] for k in shown}
+        for name in inputs:
+            digest = payload[f"{name}_sha256"]
+            assert re.fullmatch("[0-9a-f]{64}", digest)
+            assert digest == hashlib.sha256(Path(args[name]).read_bytes()).hexdigest()
 
 
 def test_identify_probe_rejects_bad_x0_and_tol(tmp_path, capsys):
