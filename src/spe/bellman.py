@@ -1,7 +1,8 @@
 """Soft Bellman equation on a discretized belief space.
 
-The action value table Q lives on (observable, grid node, action). The
-operator is
+The action value table Q lives on (observable, grid node, action); a
+QTable also holds its gradient, with a trailing parameter axis, and reads
+either at beliefs through grid.locate and grid.read. The operator is
 
     (HQ)(z, x, a) = r(z, x, a) + discount * sum_{z'} sigma(z', z, x, a) * Vbar(z', lambda(z', z, x, a))
 
@@ -28,7 +29,7 @@ from scipy import sparse
 from scipy.sparse.linalg import splu
 
 from .errors import InvalidParams, MaxIterExceeded
-from .grid import BeliefGrid
+from .grid import BeliefGrid, read
 from .model import EULER_GAMMA, PomdpModel, bayes_posterior, block_table, json_array, json_number
 from .model import read_json_object, write_json_object
 
@@ -37,24 +38,22 @@ MAX_NEWTON_ITERATIONS = 50   # BellmanSolver.solve's cap; cold engine solves tak
 
 @dataclass(frozen=True, eq=False)
 class QTable:
-    """Action values on (observable, grid node, action)."""
+    """Action values, or their gradient, on (observable, grid node, action, ...)."""
 
-    values: np.ndarray          # (n_obs, n_nodes, n_actions)
+    values: np.ndarray          # (n_obs, n_nodes, n_actions, ...)
     grid: BeliefGrid
     model_key: str
 
     def __post_init__(self):
         v = np.ascontiguousarray(np.asarray(self.values, dtype=np.float64))
-        if v.ndim != 3 or v.shape[1] != self.grid.n_nodes:
+        if v.ndim < 3 or v.shape[1] != self.grid.n_nodes:
             raise InvalidParams(f"qtable shape {v.shape} does not match grid")
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
     def interpolate_row(self, z: int, x) -> np.ndarray:
-        """Action-value vector at an arbitrary belief, shape (n_actions,)."""
-        probs = x.probs if hasattr(x, "probs") else np.asarray(x, dtype=np.float64)
-        idx, w = self.grid.interpolate(probs)
-        return w @ self.values[z, idx, :]
+        """The table's row at an arbitrary belief, shape (n_actions, ...)."""
+        return read(self.values, *self.grid.locate(z, getattr(x, "probs", x)))[0]
 
 
 def soft_value(q: QTable, z: int, x) -> float:
@@ -127,7 +126,7 @@ class BellmanSolver:
         block_of, blocks = block_table(model.kernel)
         z, a, z2 = np.nonzero(block_of.transpose(1, 0, 2))
         lam, sig, live = bayes_posterior(grid.nodes @ blocks[1:])    # (blocks, g, s)
-        idx, w = grid.interpolate_many(lam.reshape(-1, n_s))
+        flat, w = grid.locate(np.repeat(z2, g), lam.reshape(-1, n_s))
         w = np.where(live.reshape(-1, 1), w * sig.reshape(-1, 1), 0.0)
         # A block's slot is its rank among the blocks of its (z, a).
         za = z * n_a + a
@@ -136,7 +135,7 @@ class BellmanSolver:
         width = k_max * n_s
         flat_idx = np.zeros((n_z, g, n_a, k_max, n_s), dtype=np.int64)
         weights = np.zeros((n_z, g, n_a, k_max, n_s))
-        flat_idx[z, :, a, slot, :] = z2[:, None, None] * g + idx.reshape(-1, g, n_s)
+        flat_idx[z, :, a, slot, :] = flat.reshape(-1, g, n_s)
         weights[z, :, a, slot, :] = w.reshape(-1, g, n_s)
         self.flat_idx = flat_idx.reshape(n_z, g, n_a, width)
         self.weights = weights.reshape(n_z, g, n_a, width)

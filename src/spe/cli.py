@@ -7,10 +7,12 @@ Every JSON input file (model, parameter, config) is read by
 model.read_json_object and fails the same way. evaluate, bellman-solve and
 each side of identify-probe take a model file (--model) or engine parameters
 (--params), not both; evaluate and bellman-solve fall back to the reference
-values. The reports of estimate, evaluate, sensitivity and identify-probe
-are written by one function: every parsed argument, then the SHA-256 of
-each input file (null when the file is not given), then the results, so a
-run can be traced to the files and settings that produced it.
+values. A model file carries its own discount, so --discount beside one is
+refused; engine models take it, 0.95 by default. The reports of estimate,
+evaluate, sensitivity and identify-probe are written by one function: every
+parsed argument, then the SHA-256 of each input file (null when the file is
+not given), then the results, so a run can be traced to the files and
+settings that produced it.
 
 Threading: --threads (or the SPE_THREADS environment variable) caps the
 linear-algebra thread pools before the numerical stack is loaded. It only
@@ -103,7 +105,8 @@ def _resolve_config(args) -> "object":
 
 def _model_source(model_path, params_path, discount):
     """The generic model file, else the engine model at the parameter file,
-    else the engine model at the reference values.
+    else the engine model at the reference values. discount is None unless
+    --discount was given: a model file refuses it, engine models default it.
     """
     from .engine import build_engine_model, load_params, reference_params
     from .model import load_model
@@ -111,9 +114,11 @@ def _model_source(model_path, params_path, discount):
     if model_path and params_path:
         raise ValueError("give a model file or a parameter file, not both")
     if model_path:
+        if discount is not None:
+            raise ValueError("--discount applies to engine models only: a --model file carries its own")
         return load_model(model_path)
     params = load_params(params_path) if params_path else reference_params()
-    return build_engine_model(params, discount)
+    return build_engine_model(params) if discount is None else build_engine_model(params, discount)
 
 
 def cmd_simulate(args) -> int:
@@ -197,7 +202,7 @@ def cmd_evaluate(args) -> int:
         f"choice {ll.choice_term:.6f}, prior {ll.prior_term:.6f})"
     )
     if args.out:
-        _write_report(args.out, args, loglik=ll.to_dict())
+        _write_report(args.out, args, discount=model.discount, loglik=ll.to_dict())
     return 0
 
 
@@ -270,7 +275,8 @@ def cmd_identify_probe(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _common_parser(discount: float | None) -> argparse.ArgumentParser:
+    """The flags every subcommand takes, with --discount defaulting to discount."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--threads",
@@ -278,7 +284,15 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="cap linear-algebra thread pools (default: SPE_THREADS or unlimited)",
     )
-    common.add_argument("--discount", type=float, default=0.95)
+    common.add_argument("--discount", type=float, default=discount, help="discount of engine models (0.95)")
+    return common
+
+
+def build_parser() -> argparse.ArgumentParser:
+    # Commands that also take model files leave --discount at None unless it
+    # is given, so that _model_source can refuse it beside a model file. Each
+    # needs its own parent: subparsers share their parent's argument objects.
+    common, with_models = _common_parser(0.95), _common_parser(None)
 
     parser = argparse.ArgumentParser(
         prog="spe", description="Estimation of partially observable controlled processes"
@@ -310,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_est.add_argument("--stage1-max-iters", type=int, default=None)
     p_est.set_defaults(func=cmd_estimate)
 
-    p_eval = sub.add_parser("evaluate", parents=[common], help="log likelihood at fixed parameters")
+    p_eval = sub.add_parser("evaluate", parents=[with_models], help="log likelihood at fixed parameters")
     p_eval.add_argument("--data", required=True)
     p_eval.add_argument("--params", help="engine parameter JSON")
     p_eval.add_argument("--model", help="generic model JSON")
@@ -318,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--out")
     p_eval.set_defaults(func=cmd_evaluate)
 
-    p_bell = sub.add_parser("bellman-solve", parents=[common], help="solve and store a Q table")
+    p_bell = sub.add_parser("bellman-solve", parents=[with_models], help="solve and store a Q table")
     p_bell.add_argument("--model", help="generic model JSON")
     p_bell.add_argument("--params", help="engine parameter JSON")
     p_bell.add_argument("--resolution", type=int, default=101)
@@ -340,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sens.set_defaults(func=cmd_sensitivity)
 
     p_ident = sub.add_parser(
-        "identify-probe", parents=[common], help="two-period distinguishability scan"
+        "identify-probe", parents=[with_models], help="two-period distinguishability scan"
     )
     p_ident.add_argument("--model-a", help="generic model JSON")
     p_ident.add_argument("--model-b", help="generic model JSON")

@@ -25,8 +25,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import expit, softmax
 
-from .bellman import BeliefGrid, _softmax_actions, solve as bellman_solve
+from .bellman import _softmax_actions, solve as bellman_solve
 from .errors import InvalidParams, ParseError, SchemaError
+from .grid import BeliefGrid, read
 from .model import Belief, History, PomdpModel, bayes_posterior, block_table, json_array, json_number
 from .model import read_json_object, write_json_object
 
@@ -206,6 +207,8 @@ class _EngineBase:
         return reward
 
     def build_model(self, theta1: np.ndarray, theta2: np.ndarray) -> PomdpModel:
+        if np.shape(theta2) != self.default_theta2().shape:
+            raise InvalidParams(f"theta2 must hold {self.default_theta2().size} entries")
         return PomdpModel(
             n_states=self.n_states,
             n_obs=self.n_obs,
@@ -414,8 +417,6 @@ def simulate(params: EngineParams, config: SimConfig) -> SimResult:
     model = build_engine_model(params, config.discount)
     grid = BeliefGrid.create(2, config.grid_resolution)
     qtable = bellman_solve(model, grid).qtable
-    qflat = qtable.values.reshape(-1, model.n_actions)
-    g = grid.n_nodes
 
     n, horizon = config.n_histories, config.horizon
     draws_per = 2 * horizon + 2
@@ -442,9 +443,7 @@ def simulate(params: EngineParams, config: SimConfig) -> SimResult:
 
     for t in range(horizon):
         beliefs[:, t, :] = x
-        idx, w = grid.interpolate_many(x)
-        q_rows = np.einsum("mn,mna->ma", w, qflat[z[:, None] * g + idx])
-        cum = np.cumsum(_softmax_actions(q_rows), axis=1)
+        cum = np.cumsum(_softmax_actions(read(qtable.values, *grid.locate(z, x))), axis=1)
         a = np.minimum((u[:, 2 + 2 * t, None] >= cum).sum(axis=1), model.n_actions - 1)
         rows = cdf[a, z, s]
         k = np.minimum((u[:, 3 + 2 * t, None] >= rows).sum(axis=1), rows.shape[1] - 1)

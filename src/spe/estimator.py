@@ -94,6 +94,14 @@ class EstimatorConfig:
                 raise ValueError(f"{name} must be a real number, got {value!r}")
             if not value > 0.0:
                 raise ValueError(f"{name} must be positive")
+        # np.asarray(..., dtype=float64) would read "0.2" as 0.2 and True as 1.0.
+        for name in ("theta1_init", "theta2_init"):
+            value = getattr(self, name)
+            if value is not None and (
+                np.ndim(value) != 1
+                or any(isinstance(v, bool) or not isinstance(v, numbers.Real) for v in value)
+            ):
+                raise ValueError(f"{name} must be a list of real numbers, got {value!r}")
 
 
 @dataclass(eq=False)

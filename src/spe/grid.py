@@ -6,6 +6,10 @@ c_j = x_0 + ... + x_j: the unit cell containing a query is split into simplices
 (Freudenthal style) by the descending order of the fractional parts, which
 yields barycentric weights that are nonnegative, sum to one, and reproduce the
 query point exactly.
+
+Every value table on the lattice, action values or their gradient, has the
+layout (observable, node, ...): BeliefGrid.locate places beliefs on its
+flattened (observable, node) axis and read returns its rows there.
 """
 from __future__ import annotations
 
@@ -101,6 +105,20 @@ class BeliefGrid:
         """Single-query version of interpolate_many."""
         idx, w = self.interpolate_many(np.asarray(query, dtype=np.float64)[None, :])
         return idx[0], w[0]
+
+    def locate(self, z, beliefs) -> tuple[np.ndarray, np.ndarray]:
+        """Beliefs at observables z, placed on a table's flattened (observable, node) axis.
+
+        Returns (flat, weights), each (batch, n_states): the indices there of
+        interpolate_many's nodes, and its weights.
+        """
+        idx, w = self.interpolate_many(beliefs)
+        return np.asarray(z)[..., None] * self.n_nodes + idx, w
+
+
+def read(values: np.ndarray, flat: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Rows of a table on (observable, node, ...) at located beliefs, shape (batch, ...)."""
+    return np.einsum("mn,mn...->m...", weights, values.reshape(-1, *values.shape[2:])[flat])
 
 
 def _encode(cumulative: np.ndarray, resolution: int) -> np.ndarray:

@@ -9,7 +9,8 @@ For estimation the beliefs are frozen at the dynamics estimate and only the
 choice term varies with the reward parameters; its gradient uses the score
 identity grad log pi(a) = g(a) - sum_a' pi(a') g(a') where g = grad Q solves a
 linear fixed point in the system that each Newton step of the Bellman solve
-factors, solved directly by one sparse LU.
+factors, solved directly by one sparse LU. grad Q is a QTable with a trailing
+parameter axis, read like Q through the grid.locate places of ChoicePoints.
 """
 from __future__ import annotations
 
@@ -20,7 +21,7 @@ import numpy as np
 from .bellman import BellmanSolver, QTable, _logsumexp_actions, _softmax_actions
 from .bellman import solve as bellman_solve
 from .errors import InvalidParams, MaxIterExceeded, ZeroObservationProbability
-from .grid import BeliefGrid
+from .grid import BeliefGrid, read
 from .model import History, PomdpModel, bayes_posterior, block_table
 
 PRIOR_TERM = 0.0  # initial beliefs are treated as data, not parameters
@@ -50,7 +51,6 @@ class DatasetBlocks:
 
     blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]
     n_histories: int
-    n_states: int
 
     @classmethod
     def from_histories(cls, histories: list[History], model) -> "DatasetBlocks":
@@ -74,7 +74,7 @@ class DatasetBlocks:
             )
             x0 = np.stack([histories[i].x0.probs for i in idx])
             blocks.append((idx, obs, acts, x0))
-        return cls(blocks, len(histories), model.n_states)
+        return cls(blocks, len(histories))
 
     @property
     def total_steps(self) -> int:
@@ -244,13 +244,13 @@ class LogLikelihood:
 class ChoicePoints:
     """Gather structure for the choice term at frozen beliefs.
 
-    Row m holds one decision (z, x, a): flat_idx points into the flattened
-    (n_obs * n_nodes) axis of a Q table, node_w are the interpolation weights.
+    Row m holds one decision (z, x, a): flat and weights are grid.locate's
+    place of (z, x) on a value table.
     """
 
     actions: np.ndarray      # (m,)
-    flat_idx: np.ndarray     # (m, n_states)
-    node_w: np.ndarray       # (m, n_states)
+    flat: np.ndarray         # (m, n_states)
+    weights: np.ndarray      # (m, n_states)
 
     @classmethod
     def from_filtered(
@@ -259,34 +259,19 @@ class ChoicePoints:
         histories: list[History],
         filtered: list[FilteredPath],
     ) -> "ChoicePoints":
-        zs, acs, beliefs = [], [], []
-        for h, f in zip(histories, filtered):
-            if h.horizon == 0:
-                continue
-            zs.append(h.obs[:-1])
-            acs.append(h.acts)
-            beliefs.append(f.beliefs)
-        if not zs:
-            return cls(
-                np.zeros(0, dtype=np.int64),
-                np.zeros((0, grid.n_states), dtype=np.int64),
-                np.zeros((0, grid.n_states)),
-            )
-        z = np.concatenate(zs)
-        a = np.concatenate(acs)
-        x = np.concatenate(beliefs, axis=0)
-        idx, w = grid.interpolate_many(x)
-        flat = z[:, None] * grid.n_nodes + idx
-        return cls(a, flat, w)
+        # Each stack starts empty, so a dataset without decisions gets zero rows.
+        z = np.concatenate([np.zeros(0, dtype=np.int64), *(h.obs[:-1] for h in histories)])
+        a = np.concatenate([np.zeros(0, dtype=np.int64), *(h.acts for h in histories)])
+        beliefs = (f.beliefs[: h.horizon] for h, f in zip(histories, filtered))
+        return cls(a, *grid.locate(z, np.concatenate([np.zeros((0, grid.n_states)), *beliefs])))
 
     @property
     def n_steps(self) -> int:
         return self.actions.size
 
-    def q_rows(self, qvalues: np.ndarray) -> np.ndarray:
-        """Interpolated action values at every decision, shape (m, n_actions)."""
-        flat = qvalues.reshape(-1, qvalues.shape[-1])
-        return np.einsum("mn,mna->ma", self.node_w, flat[self.flat_idx])
+    def q_rows(self, values: np.ndarray) -> np.ndarray:
+        """A table on (observable, node, action, ...) at every decision, shape (m, n_actions, ...)."""
+        return read(values, self.flat, self.weights)
 
     def _log_pi_terms(self, qvalues: np.ndarray):
         """(rows, lse, picked): the q_rows, their log-sum-exp and the value of each taken action."""
@@ -301,8 +286,7 @@ class ChoicePoints:
         """Value of the choice term and its (m, p) per-decision scores."""
         rows, lse, picked = self._log_pi_terms(qvalues)
         rows_pi = np.exp(rows - lse[:, None])
-        gflat = gvalues.reshape(-1, gvalues.shape[-2], gvalues.shape[-1])
-        grows = np.einsum("mn,mnap->map", self.node_w, gflat[self.flat_idx])
+        grows = self.q_rows(gvalues)
         score = grows[np.arange(self.n_steps), self.actions, :] - np.einsum("ma,map->mp", rows_pi, grows)
         return float((picked - lse).sum()), score
 
@@ -344,27 +328,13 @@ def log_likelihood(
     return LogLikelihood(obs_term, choice_term, PRIOR_TERM)
 
 
-@dataclass(frozen=True, eq=False)
-class GradQTable:
-    """Gradient of the Q table in the reward parameters, (z, node, a, param)."""
-
-    values: np.ndarray
-    grid: BeliefGrid
-    model_key: str
-
-    def interpolate_row(self, z: int, x) -> np.ndarray:
-        probs = x.probs if hasattr(x, "probs") else np.asarray(x, dtype=np.float64)
-        idx, w = self.grid.interpolate(probs)
-        return np.einsum("n,nap->ap", w, self.values[z, idx, :, :])
-
-
 def grad_q(
     model: PomdpModel,
     reward_grad: np.ndarray,
     qtable: QTable,
     tol: float = 1e-8,
     solver: BellmanSolver | None = None,
-) -> GradQTable:
+) -> QTable:
     """Solve the linear fixed point for grad Q at a solved Q table.
 
     reward_grad[a, z, s, p] = d r(a, z, s) / d theta_p. grad Q solves
@@ -373,6 +343,7 @@ def grad_q(
     solves (I - Pi discount W) v = Pi grad r, one BellmanSolver.policy_solve
     for every parameter, and g = grad r + discount * W v. Raises
     MaxIterExceeded when the solution's residual max |Pi g - v| is above tol.
+    Returns grad Q as a QTable on (z, node, a, param).
     """
     if not tol > 0.0:
         raise InvalidParams("tol must be positive")
@@ -390,10 +361,10 @@ def grad_q(
             residual=residual,
             iterations=1,
         )
-    return GradQTable(g, qtable.grid, qtable.model_key)
+    return QTable(g, qtable.grid, qtable.model_key)
 
 
-def grad_log_pi(gq: GradQTable, q: QTable, z: int, x, a: int) -> np.ndarray:
+def grad_log_pi(gq: QTable, q: QTable, z: int, x, a: int) -> np.ndarray:
     """Score of the choice probability at one decision, shape (n_params,)."""
     grow = gq.interpolate_row(z, x)
     return grow[a] - _softmax_actions(q.interpolate_row(z, x)) @ grow

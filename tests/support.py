@@ -1,8 +1,12 @@
 """Shared builders and scalar reference oracles for the test suite."""
 from __future__ import annotations
 
+import ast
+from pathlib import Path
+
 import numpy as np
 
+import spe
 from spe import EULER_GAMMA, Belief, InvalidParams, PomdpModel, ZeroObservationProbability, lambda_update
 
 
@@ -94,3 +98,26 @@ def apply_lambda_M(model: PomdpModel, obs_window, act_window, x_start) -> Belief
         except ZeroObservationProbability as exc:
             raise ZeroObservationProbability(str(exc), step=t) from None
     return x
+
+
+def call_sites(names):
+    """Sorted (file, enclosing function, callee) of every call in the package to one of names.
+
+    A callee matches by its dotted name (json.load) or by its attribute name
+    (interpolate_many matches grid.interpolate_many and self.interpolate_many).
+    """
+    package = Path(spe.__file__).parent
+    calls = []
+    for path in package.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        owner = {}
+        for func in ast.walk(tree):    # breadth first: an inner function overwrites its outer one
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner.update((node, func.name) for node in ast.walk(func))
+        calls += [
+            (path.name, owner.get(node), ast.unparse(node.func))
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and (ast.unparse(node.func) in names or getattr(node.func, "attr", None) in names)
+        ]
+    return sorted(calls)

@@ -377,3 +377,21 @@ def test_qtable_file_values_need_numbers(tmp_path):
         path.write_text(json.dumps({**payload, "values": values}))
         with pytest.raises(InvalidParams, match="values must hold only numbers"):
             load_qtable(path)
+
+
+def test_qtable_reads_trailing_axes():
+    # grad Q is a QTable with a parameter axis, and a read of it is the reads
+    # of its per-parameter slices
+    m = random_model(seed=5, n_states=3)
+    grid = BeliefGrid.create(3, 7)
+    q = solve(m, grid).qtable
+    gq = grad_q(m, np.random.default_rng(5).normal(size=(*m.reward.shape, 3)), q)
+    assert isinstance(gq, QTable)
+    assert gq.values.shape == (*q.values.shape, 3)
+    rng = np.random.default_rng(6)
+    for z in range(m.n_obs):
+        x = rng.dirichlet(np.ones(3))
+        slices = [QTable(gq.values[..., p], grid, gq.model_key).interpolate_row(z, x) for p in range(3)]
+        np.testing.assert_allclose(
+            gq.interpolate_row(z, x), np.stack(slices, axis=-1), rtol=1e-13, atol=1e-15
+        )

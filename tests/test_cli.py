@@ -16,7 +16,7 @@ import pytest
 import spe
 from spe import build_engine_model, load_dataset, load_qtable, reference_params, save_params, solve
 from spe.cli import main
-from support import two_state_hand_model
+from support import call_sites, two_state_hand_model
 
 
 def test_only_the_cli_prints():
@@ -34,28 +34,10 @@ def test_only_the_cli_prints():
     assert printing == []
 
 
-def json_calls(names):
-    """Sorted (file, enclosing function, callee) of every call in the package to one of names."""
-    package = Path(spe.__file__).parent
-    calls = []
-    for path in package.glob("*.py"):
-        tree = ast.parse(path.read_text())
-        owner = {}
-        for func in ast.walk(tree):    # breadth first: an inner function overwrites its outer one
-            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                owner.update((node, func.name) for node in ast.walk(func))
-        calls += [
-            (path.name, owner.get(node), ast.unparse(node.func))
-            for node in ast.walk(tree)
-            if isinstance(node, ast.Call) and ast.unparse(node.func) in names
-        ]
-    return sorted(calls)
-
-
 def test_json_is_read_in_one_place_per_format():
     # a JSON file is read by model.read_json_object and a JSONL line by
     # engine.load_dataset, so every input file of one format fails the same way
-    assert json_calls(("json.load", "json.loads")) == [
+    assert call_sites(("json.load", "json.loads")) == [
         ("engine.py", "load_dataset", "json.loads"),
         ("model.py", "read_json_object", "json.load"),
     ]
@@ -64,7 +46,7 @@ def test_json_is_read_in_one_place_per_format():
 def test_json_is_written_in_one_place_per_format():
     # every JSON file (model, Q table, parameters, report) is written by
     # model.write_json_object and every JSON-lines file by engine.write_json_lines
-    assert json_calls(("json.dump", "json.dumps")) == [
+    assert call_sites(("json.dump", "json.dumps")) == [
         ("engine.py", "write_json_lines", "json.dumps"),
         ("model.py", "write_json_object", "json.dump"),
     ]
@@ -551,3 +533,29 @@ def test_identify_probe_needs_both_sides(tmp_path, capsys):
     rc = run(["identify-probe", "--params-a", pa])
     assert rc == 1
     assert "each side needs" in capsys.readouterr().err
+
+
+def test_discount_beside_a_model_file_is_refused(tiny_dataset, tmp_path, capsys):
+    # a model file carries its own discount: --discount beside one used to be
+    # ignored while the report recorded it
+    from spe.model import save_model
+
+    model_path, params_path, out = tmp_path / "m.json", tmp_path / "p.json", tmp_path / "eval.json"
+    save_model(build_engine_model(reference_params(), 0.9), model_path)
+    save_params(reference_params(), params_path)
+    evaluate = ["evaluate", "--data", tiny_dataset, "--grid-resolution", "11", "--out", out]
+    for argv in (
+        [*evaluate, "--model", model_path],
+        ["bellman-solve", "--model", model_path, "--resolution", "11", "--out", tmp_path / "q.json"],
+        ["identify-probe", "--model-a", model_path, "--params-b", params_path],
+    ):
+        assert run([*argv, "--discount", "0.5"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "--discount" in err and "--model" in err
+    assert not out.exists()
+    # the report records the discount the model was solved at
+    assert run([*evaluate, "--model", model_path]) == 0
+    assert json.loads(out.read_text())["discount"] == 0.9
+    # engine models keep 0.95 by default
+    assert run([*evaluate, "--params", params_path]) == 0
+    assert json.loads(out.read_text())["discount"] == 0.95

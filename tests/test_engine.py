@@ -427,6 +427,14 @@ def test_reward_tensor_is_affine_in_theta1(family):
     for wrong in (dim - 1, dim + 1):
         with pytest.raises(InvalidParams):
             family.reward_tensor(np.zeros(wrong))
+@pytest.mark.parametrize("family", [EngineFamily(), MdpEngineFamily()], ids=type)
+def test_dynamics_of_the_wrong_length_are_refused(family):
+    # like a wrong-length theta1, a wrong-length theta2 used to reach numpy and
+    # end in its reshape or broadcast error
+    dim = family.default_theta2().size
+    for wrong in (2, dim - 1, dim + 1):
+        with pytest.raises(InvalidParams, match=f"theta2 must hold {dim} entries"):
+            family.build_model(family.default_theta1(), np.full(wrong, 1.0 / wrong))
 
 
 @pytest.mark.parametrize("n_bins", [7, 120])

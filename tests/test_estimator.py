@@ -408,6 +408,15 @@ def test_config_validation():
         EstimatorConfig(step_size=False)
 
 
+@pytest.mark.parametrize("name", ["theta1_init", "theta2_init"])
+def test_config_start_values_need_real_numbers(name):
+    # np.asarray(..., dtype=float64) would read ["0.2", True, 9] as [0.2, 1.0, 9.0]
+    for value in (["0.2", 1.0, 9.0], [0.2, True, 9.0], "0.2", 0.2):
+        with pytest.raises(ValueError, match=f"{name} must be a list of real numbers"):
+            EstimatorConfig(**{name: value})
+    assert getattr(EstimatorConfig(**{name: (0.2, 1, np.float64(9.0))}), name) == (0.2, 1, 9.0)
+
+
 @pytest.mark.parametrize(
     "histories",
     [[], [History(Belief.uniform(2), np.array([3]), np.array([], dtype=np.int64))]],

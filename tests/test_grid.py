@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spe import BeliefGrid, InvalidParams
+from support import call_sites
 
 
 def test_node_count_two_states():
@@ -82,3 +83,12 @@ def test_interpolation_invariants(seed, n_states, resolution):
     np.testing.assert_allclose(w.sum(axis=1), 1.0, atol=1e-10)
     recon = np.einsum("bj,bjs->bs", w, g.nodes[idx])
     np.testing.assert_allclose(recon, x, atol=1e-9)
+
+
+def test_lattice_tables_are_read_in_one_place():
+    # every value table is placed on the lattice by BeliefGrid.locate and read
+    # by grid.read, so no module flattens (observable, node) on its own
+    assert call_sites(("interpolate_many",)) == [
+        ("grid.py", "interpolate", "self.interpolate_many"),
+        ("grid.py", "locate", "self.interpolate_many"),
+    ]
