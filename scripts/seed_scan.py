@@ -36,7 +36,7 @@ def scan_one(seed: int, x0, n: int, horizon: int) -> dict:
     cfg = EstimatorConfig(
         grad_norm_tol=1e-6, max_stage2_iters=600, theta1_init=tuple(truth1)
     )
-    s2 = stage2_policy_gradient(sim.histories, family, s1.theta2, cfg, s1.filtered)
+    s2 = stage2_policy_gradient(family, s1.theta2, cfg, s1.filtered)
     scale = np.array([1.0, 1.0, 0.1])
     dev1 = np.abs(s2.theta1 - truth1) * scale
     return {

@@ -28,7 +28,7 @@ _SUBMODULES = {
         "soft_value", "solve",
     ),
     "likelihood": (
-        "FilteredPath", "LogLikelihood", "SmoothnessConstants",
+        "DatasetBlocks", "FilteredDataset", "LogLikelihood", "SmoothnessConstants",
         "filter_dataset", "grad_log_pi", "grad_q", "log_likelihood",
         "observation_loglik", "observation_score", "pseudo_log_likelihood",
         "smoothness_constants",

@@ -206,9 +206,15 @@ class _EngineBase:
         reward[1] = -float(theta1[-1])
         return reward
 
+    def _sized(self, values, chart: bool) -> np.ndarray:
+        """theta2, or a chart point u (one increment anchored per condition), as floats of the right length."""
+        size = self.default_theta2().size - (self.n_states if chart else 0)
+        if np.shape(values) != (size,):
+            raise InvalidParams(f"{'u' if chart else 'theta2'} must hold {size} entries")
+        return np.asarray(values, dtype=np.float64)
+
     def build_model(self, theta1: np.ndarray, theta2: np.ndarray) -> PomdpModel:
-        if np.shape(theta2) != self.default_theta2().shape:
-            raise InvalidParams(f"theta2 must hold {self.default_theta2().size} entries")
+        self._sized(theta2, chart=False)
         return PomdpModel(
             n_states=self.n_states,
             n_obs=self.n_obs,
@@ -266,13 +272,13 @@ class EngineFamily(_EngineBase):
         return np.concatenate([[0.5, 0.5], uniform, uniform])
 
     def theta2_to_unconstrained(self, theta2: np.ndarray) -> np.ndarray:
-        inc = np.asarray(theta2[2:]).reshape(2, N_INCREMENTS)
+        inc = self._sized(theta2, chart=False)[2:].reshape(2, N_INCREMENTS)
         return np.concatenate(
             [_logit(theta2[:2]), _anchored_logits(inc[0]), _anchored_logits(inc[1])]
         )
 
     def theta2_from_unconstrained(self, u: np.ndarray) -> np.ndarray:
-        u = np.asarray(u, dtype=np.float64)
+        u = self._sized(u, chart=True)
         k = N_INCREMENTS - 1
         return np.concatenate(
             [
@@ -325,10 +331,10 @@ class MdpEngineFamily(_EngineBase):
         return np.full(N_INCREMENTS, 1.0 / N_INCREMENTS)
 
     def theta2_to_unconstrained(self, theta2: np.ndarray) -> np.ndarray:
-        return _anchored_logits(np.asarray(theta2))
+        return _anchored_logits(self._sized(theta2, chart=False))
 
     def theta2_from_unconstrained(self, u: np.ndarray) -> np.ndarray:
-        return _anchored_softmax(np.asarray(u, dtype=np.float64))
+        return _anchored_softmax(self._sized(u, chart=True))
 
     def build_kernel(self, theta2: np.ndarray) -> np.ndarray:
         increments = np.asarray(theta2)[None, :]

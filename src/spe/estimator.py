@@ -42,9 +42,9 @@ from .likelihood import (
     PRIOR_TERM,
     ChoicePoints,
     DatasetBlocks,
+    FilteredDataset,
     LogLikelihood,
     filter_dataset,
-    filtered_obs_term,
     grad_q,
     observation_score,
     smoothness_constants,
@@ -112,7 +112,7 @@ class Stage1Result:
     converged: bool
     n_evals: int
     message: str
-    filtered: list    # frozen belief paths at theta2
+    filtered: FilteredDataset    # frozen beliefs at theta2
 
 
 @dataclass(eq=False)
@@ -184,8 +184,8 @@ def stage1_fit_theta2(
     probabilities are floored inside the search so the objective stays
     finite; a floored step is a constant and adds nothing to the gradient.
     burn_in drops the first steps of each history from the objective, for
-    the initial-belief sweep. The result carries the belief paths filtered
-    at the estimate.
+    the initial-belief sweep. The dataset is laid out once, and the result
+    carries its beliefs filtered at the estimate.
     """
     theta2_0 = (
         np.asarray(config.theta2_init, dtype=np.float64)
@@ -220,20 +220,19 @@ def stage1_fit_theta2(
         converged=bool(res.success),
         n_evals=int(res.nfev),
         message=str(res.message),
-        filtered=filter_dataset(family.build_model(family.default_theta1(), theta2), histories),
+        filtered=filter_dataset(family.build_model(family.default_theta1(), theta2), blocks),
     )
 
 
 def stage2_policy_gradient(
-    histories,
     family,
     theta2: np.ndarray,
     config: EstimatorConfig,
-    filtered,
+    filtered: FilteredDataset,
 ) -> Stage2Result:
     """Ascend the choice term in theta1 with beliefs frozen at theta2.
 
-    filtered holds the histories' belief paths at theta2. By default each
+    filtered holds the dataset's beliefs filtered at theta2. By default each
     step is BHHH along (S'S)^+ S'1 for the per-decision scores S; a fixed
     step_size runs gradient ascent and certifies it. Each point is solved once.
     """
@@ -245,7 +244,7 @@ def stage2_policy_gradient(
     model = family.build_model(theta1, theta2)
     grid = BeliefGrid.create(family.n_states, config.grid_resolution)
     solver = BellmanSolver(model, grid)
-    points = ChoicePoints.from_filtered(grid, histories, filtered)
+    points = ChoicePoints.from_filtered(grid, filtered)
     n_steps = max(points.n_steps, 1)
 
     # The reward is affine in theta1, so its gradient is a constant table
@@ -335,19 +334,19 @@ def stage2_policy_gradient(
     )
 
 
-def _fit_rewards(histories, family, stage1: Stage1Result, config, start, **diagnostics):
+def _fit_rewards(family, stage1: Stage1Result, config, start, **diagnostics):
     """Stage two at the stage-one dynamics, then the report.
 
     The log likelihood is the stages' own: the observation term of the
-    stage-one belief paths and the choice term stage two reached. The kernel
-    depends on theta2 alone, so those paths are the filter at the estimate.
+    stage-one beliefs and the choice term stage two reached. The kernel
+    depends on theta2 alone, so those beliefs are the filter at the estimate.
     """
-    stage2 = stage2_policy_gradient(histories, family, stage1.theta2, config, stage1.filtered)
+    stage2 = stage2_policy_gradient(family, stage1.theta2, config, stage1.filtered)
     return EstimateReport(
         theta1=stage2.theta1,
         theta2=stage1.theta2,
         labeled=family.describe(stage2.theta1, stage1.theta2),
-        loglik=LogLikelihood(filtered_obs_term(stage1.filtered), stage2.pseudo_loglik, PRIOR_TERM),
+        loglik=LogLikelihood(stage1.filtered.obs_term, stage2.pseudo_loglik, PRIOR_TERM),
         stage1=stage1,
         stage2=stage2,
         config=config,
@@ -367,27 +366,20 @@ def estimate(histories, family, config: EstimatorConfig | None = None) -> Estima
         config = EstimatorConfig()
     start = time.perf_counter()
     stage1 = stage1_fit_theta2(histories, family, config)
-    return _fit_rewards(histories, family, stage1, config, start)
+    return _fit_rewards(family, stage1, config, start)
 
 
-def empirical_increments(histories, n_bins: int, n_increments: int = 4) -> np.ndarray:
+def empirical_increments(data: DatasetBlocks, n_bins: int, n_increments: int = 4) -> np.ndarray:
     """Empirical usage-increment frequencies over keep decisions.
 
     Steps whose start bin could censor the increment against the top of the
     range are excluded so the counts match the uncapped distribution.
     """
-    counts = np.zeros(n_increments)
-    for h in histories:
-        if h.horizon == 0:
-            continue
-        keep = h.acts == 0
-        safe = h.obs[:-1] <= n_bins - 1 - n_increments
-        use = keep & safe
-        deltas = (h.obs[1:] - h.obs[:-1])[use]
-        if deltas.size:
-            if deltas.min() < 0 or deltas.max() >= n_increments:
-                raise ValueError("usage decreased or jumped beyond the increment range")
-            counts += np.bincount(deltas, minlength=n_increments)
+    z = data.obs[:, :-1]
+    deltas = (data.obs[:, 1:] - z)[data.steps & (data.acts == 0) & (z <= n_bins - 1 - n_increments)]
+    if deltas.size and (deltas.min() < 0 or deltas.max() >= n_increments):
+        raise ValueError("usage decreased or jumped beyond the increment range")
+    counts = np.bincount(deltas, minlength=n_increments)
     total = counts.sum()
     if total == 0:
         return np.full(n_increments, 1.0 / n_increments)
@@ -413,11 +405,12 @@ def fit_mdp_baseline(
         config = EstimatorConfig()
     family = MdpEngineFamily(n_mileage_bins, discount)
     start = time.perf_counter()
-    theta2 = empirical_increments(histories, n_mileage_bins)
     # Histories carry two-state initial beliefs; the baseline ignores them.
     flat = [History(Belief(np.ones(1)), h.obs, h.acts) for h in histories]
-    filtered = filter_dataset(family.build_model(family.default_theta1(), theta2), flat)
-    obs_ll = filtered_obs_term(filtered)
+    data = DatasetBlocks.from_histories(flat, family)
+    theta2 = empirical_increments(data, n_mileage_bins)
+    filtered = filter_dataset(family.build_model(family.default_theta1(), theta2), data)
+    obs_ll = filtered.obs_term
     stage1 = Stage1Result(
         theta2=theta2,
         obs_loglik=obs_ll,
@@ -427,4 +420,4 @@ def fit_mdp_baseline(
         message="closed form: empirical increment frequencies",
         filtered=filtered,
     )
-    return _fit_rewards(flat, family, stage1, config, start, baseline="fully observed")
+    return _fit_rewards(family, stage1, config, start, baseline="fully observed")

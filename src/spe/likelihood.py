@@ -5,6 +5,11 @@ sum_t log sigma_t, a choice term sum_t log pi(a_t | z_t, x_t), and a prior
 term for the initial belief. Beliefs x_t are produced by the Bayes filter, so
 the whole likelihood is a function of the model parameters only.
 
+A fit lays its histories out once, as one padded batch (DatasetBlocks), and
+filter_dataset returns their beliefs in the same layout (FilteredDataset):
+its observation term is stage one's, and its decision rows (ChoicePoints)
+are stage two's.
+
 For estimation the beliefs are frozen at the dynamics estimate and only the
 choice term varies with the reward parameters; its gradient uses the score
 identity grad log pi(a) = g(a) - sum_a' pi(a') g(a') where g = grad Q solves a
@@ -27,78 +32,85 @@ from .model import History, PomdpModel, bayes_posterior, block_table
 PRIOR_TERM = 0.0  # initial beliefs are treated as data, not parameters
 
 
-@dataclass(frozen=True, eq=False)
-class FilteredPath:
-    """Filtered beliefs x_0..x_{T-1} and step observation probabilities.
-
-    A zero-length history keeps a single row holding the initial belief.
-    model_key records which dynamics produced the path.
-    """
-
-    beliefs: np.ndarray      # (max(T, 1), n_states)
-    sigmas: np.ndarray       # (T,)
-    model_key: str
-
-
 @dataclass(eq=False)
 class DatasetBlocks:
-    """Histories grouped by horizon for vectorized filtering.
+    """Histories as one padded batch, T the longest horizon.
 
-    Each block is (original indices, obs (b, T+1), acts (b, T), x0 (b, s)).
-    Likelihood terms are summed block by block in ascending horizon, dataset
-    order within a block; for equal-length histories this is dataset order.
+    Row i holds history i: obs (N, T+1) and acts (N, T) padded with zeros past
+    its horizon, its initial belief x0 (N, s) and horizons (N,). Likelihood
+    terms are summed step by step over all rows; for equal-length histories
+    this is dataset order within each step.
     """
 
-    blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]
-    n_histories: int
+    obs: np.ndarray
+    acts: np.ndarray
+    x0: np.ndarray
+    horizons: np.ndarray
 
     @classmethod
     def from_histories(cls, histories: list[History], model) -> "DatasetBlocks":
         """Only n_obs, n_actions and n_states are read: model may be a family."""
-        by_t: dict[int, list[int]] = {}
+        horizons = np.array([h.horizon for h in histories], dtype=np.int64)
+        n, t = horizons.size, int(horizons.max(initial=0))
+        obs, acts = np.zeros((n, t + 1), dtype=np.int64), np.zeros((n, t), dtype=np.int64)
+        x0 = np.zeros((n, model.n_states))
         for i, h in enumerate(histories):
             h.validate_against(model)
-            if h.x0.probs.size != model.n_states:
-                raise InvalidParams(
-                    f"history {i}: initial belief has {h.x0.probs.size} states, model has {model.n_states}"
-                )
-            by_t.setdefault(h.horizon, []).append(i)
-        blocks = []
-        for t in sorted(by_t):
-            idx = np.asarray(by_t[t], dtype=np.int64)
-            obs = np.stack([histories[i].obs for i in idx])
-            acts = (
-                np.stack([histories[i].acts for i in idx])
-                if t > 0
-                else np.zeros((idx.size, 0), dtype=np.int64)
-            )
-            x0 = np.stack([histories[i].x0.probs for i in idx])
-            blocks.append((idx, obs, acts, x0))
-        return cls(blocks, len(histories))
+            obs[i, : h.obs.size], acts[i, : h.horizon], x0[i] = h.obs, h.acts, h.x0.probs
+        return cls(obs, acts, x0, horizons)
 
     @property
-    def total_steps(self) -> int:
-        return sum(acts.shape[0] * acts.shape[1] for _, _, acts, _ in self.blocks)
+    def steps(self) -> np.ndarray:
+        """(N, T) mask of the steps inside each history's horizon."""
+        return np.arange(self.acts.shape[1]) < self.horizons[:, None]
 
 
-def _scan_block(
+@dataclass(frozen=True, eq=False)
+class FilteredDataset:
+    """Filtered beliefs x_0..x_T and step observation probabilities of a dataset.
+
+    beliefs (N, T+1, s) and sigmas (N, T) share data's padded layout; past a
+    history's horizon, sigmas read 1 and beliefs are padding. model_key
+    records which dynamics filtered them.
+    """
+
+    data: DatasetBlocks
+    beliefs: np.ndarray
+    sigmas: np.ndarray
+    model_key: str
+
+    @property
+    def obs_term(self) -> float:
+        """Observation term sum_t log sigma_t, summed history by history."""
+        return float(sum(np.log(self.sigmas).sum(axis=1)))
+
+    def tail(self, burn_in: int) -> "FilteredDataset":
+        """The histories and beliefs from step burn_in on, each starting at its belief there."""
+        d, beliefs = self.data, self.beliefs[:, burn_in:]
+        data = DatasetBlocks(d.obs[:, burn_in:], d.acts[:, burn_in:], beliefs[:, 0], d.horizons - burn_in)
+        return FilteredDataset(data, beliefs, self.sigmas[:, burn_in:], self.model_key)
+
+
+def _scan(
     kernel_blocks,
-    idx: np.ndarray,
-    obs: np.ndarray,
-    acts: np.ndarray,
-    x0: np.ndarray,
+    data: DatasetBlocks,
     burn_in: int,
     penalize: bool,
     store: bool,
+    x0: np.ndarray | None = None,
 ):
-    """Filter one block. Returns (obs_loglik, beliefs, sigmas, score).
+    """Filter every history at once. Returns (obs_loglik, beliefs, sigmas, score).
 
     kernel_blocks = (block_of, blocks, d_blocks): a block table as in
     model.block_table, and d_blocks of the same row its derivative in
     parameters u, or None; each step reads both through one row per history.
-    beliefs and sigmas are None unless store is set. With penalize=True a
-    vanished observation contributes log(SIGMA_FLOOR) and filtering continues
-    from a uniform belief; otherwise it raises.
+    Padding steps read an identity block appended to the table, with a zero
+    derivative; their sigma is set to 1 (the identity step's is 1 only to an
+    ulp) and, like a floored step, they add 0 to the score and reset dx. x0,
+    when given, replaces every initial belief. beliefs and sigmas are None
+    unless store is set. With penalize=True a vanished observation
+    contributes log(SIGMA_FLOOR) and filtering continues from a uniform
+    belief; otherwise it raises.
 
     d_blocks makes the scan carry dx_t/du beside the belief and return the
     score d obs_loglik/du (the recursive score of the filter); else the score
@@ -108,20 +120,30 @@ def _scan_block(
     from a constant belief, so it adds 0 to the score and resets dx. Initial
     beliefs do not depend on u.
     """
+    if burn_in > 0 and np.any(data.horizons <= burn_in):
+        raise InvalidParams(
+            f"burn-in {burn_in} must be shorter than the shortest horizon {data.horizons.min()}"
+        )
     block_of, blocks, d_blocks = kernel_blocks
-    b, horizon = acts.shape
-    n_s = x0.shape[1]
-    x = x0.copy()
-    beliefs = np.empty((b, max(horizon, 1), n_s)) if store else None
+    b, horizon = data.acts.shape
+    n_s = data.x0.shape[1]
+    steps = data.steps
+    padded = not steps.all()
+    step_blocks = np.where(
+        steps, block_of[data.acts, data.obs[:, :-1], data.obs[:, 1:]], blocks.shape[0]
+    )                                                                 # (b, T)
+    blocks = np.concatenate([blocks, np.eye(n_s)[None]])
+    x = (data.x0 if x0 is None else np.broadcast_to(x0, data.x0.shape)).copy()
+    beliefs = np.empty((b, horizon + 1, n_s)) if store else None
     sigmas = np.empty((b, horizon)) if store else None
     if store:
         beliefs[:, 0, :] = x
-    step_blocks = block_of[acts, obs[:, :-1], obs[:, 1:]]           # (b, T)
     score = None
     if d_blocks is not None:
         # The tangent keeps histories on its last axis, (s, n_u, b), so each
         # operation runs along the batch and not along the short state axes.
-        d_rows = np.ascontiguousarray(np.moveaxis(d_blocks, 0, -1))  # (s, s', n_u, rows)
+        d_rows = np.zeros(d_blocks.shape[1:] + (d_blocks.shape[0] + 1,))  # (s, s', n_u, rows)
+        d_rows[..., :-1] = np.moveaxis(d_blocks, 0, -1)
         score = np.zeros(d_blocks.shape[-1])
         dx = np.zeros((n_s, score.size, b))
     total = 0.0
@@ -137,10 +159,13 @@ def _scan_block(
         if not penalize and not np.all(live):
             bad = int(np.flatnonzero(~live)[0])
             raise ZeroObservationProbability(
-                f"history {int(idx[bad])}: observation z={int(obs[bad, t + 1])} has "
+                f"history {bad}: observation z={int(data.obs[bad, t + 1])} has "
                 f"probability 0 at step {t}",
                 step=t,
             )
+        if padded:
+            sig = np.where(steps[:, t], sig, 1.0)
+            live = live & steps[:, t]
         if t >= burn_in:
             total += float(np.log(sig).sum())
         if score is not None:
@@ -153,29 +178,16 @@ def _scan_block(
                 score += d_sig @ inv_sig
         if store:
             sigmas[:, t] = sig
-            if t + 1 < horizon:
-                beliefs[:, t + 1, :] = x
+            beliefs[:, t + 1, :] = x
     return total, beliefs, sigmas, score
 
 
-def filter_dataset(model: PomdpModel, histories: list[History]) -> list[FilteredPath]:
+def filter_dataset(model: PomdpModel, data: DatasetBlocks) -> FilteredDataset:
     """Run the Bayes filter over every history. Raises on impossible data."""
-    blocks = DatasetBlocks.from_histories(histories, model)
-    out: list[FilteredPath | None] = [None] * len(histories)
-    key = model.content_key()
-    kernel_blocks = block_table(model.kernel) + (None,)
-    for idx, obs, acts, x0 in blocks.blocks:
-        _, beliefs, sigmas, _ = _scan_block(
-            kernel_blocks, idx, obs, acts, x0, burn_in=0, penalize=False, store=True
-        )
-        for j, i in enumerate(idx):
-            out[int(i)] = FilteredPath(beliefs[j].copy(), sigmas[j].copy(), key)
-    return out
-
-
-def filtered_obs_term(filtered: list[FilteredPath]) -> float:
-    """Observation term sum_t log sigma_t of filtered paths, summed path by path."""
-    return float(sum(np.log(f.sigmas).sum() for f in filtered))
+    _, beliefs, sigmas, _ = _scan(
+        block_table(model.kernel) + (None,), data, burn_in=0, penalize=False, store=True
+    )
+    return FilteredDataset(data, beliefs, sigmas, model.content_key())
 
 
 def observation_loglik(
@@ -207,20 +219,8 @@ def observation_score(
     kernel_blocks returns it. Returns (value, score) with score of shape
     (n_u,), or None when d_blocks is None.
     """
-    total = 0.0
-    score = None if kernel_blocks[2] is None else np.zeros(kernel_blocks[2].shape[-1])
-    for idx, obs, acts, x0 in blocks.blocks:
-        if burn_in > 0 and burn_in >= acts.shape[1]:
-            raise InvalidParams(
-                f"burn-in {burn_in} must be shorter than the horizon {acts.shape[1]}"
-            )
-        if x0_override is not None:
-            x0 = np.broadcast_to(x0_override, x0.shape)
-        t, _, _, g = _scan_block(kernel_blocks, idx, obs, acts, x0, burn_in, penalize, False)
-        total += t
-        if score is not None:
-            score += g
-    return float(total), score
+    total, _, _, score = _scan(kernel_blocks, blocks, burn_in, penalize, False, x0_override)
+    return total, score
 
 
 @dataclass(frozen=True)
@@ -253,17 +253,10 @@ class ChoicePoints:
     weights: np.ndarray      # (m, n_states)
 
     @classmethod
-    def from_filtered(
-        cls,
-        grid: BeliefGrid,
-        histories: list[History],
-        filtered: list[FilteredPath],
-    ) -> "ChoicePoints":
-        # Each stack starts empty, so a dataset without decisions gets zero rows.
-        z = np.concatenate([np.zeros(0, dtype=np.int64), *(h.obs[:-1] for h in histories)])
-        a = np.concatenate([np.zeros(0, dtype=np.int64), *(h.acts for h in histories)])
-        beliefs = (f.beliefs[: h.horizon] for h, f in zip(histories, filtered))
-        return cls(a, *grid.locate(z, np.concatenate([np.zeros((0, grid.n_states)), *beliefs])))
+    def from_filtered(cls, grid: BeliefGrid, filtered: FilteredDataset) -> "ChoicePoints":
+        """The decisions of a filtered dataset, history by history."""
+        data, steps = filtered.data, filtered.data.steps
+        return cls(data.acts[steps], *grid.locate(data.obs[:, :-1][steps], filtered.beliefs[:, :-1][steps]))
 
     @property
     def n_steps(self) -> int:
@@ -291,12 +284,9 @@ class ChoicePoints:
         return float((picked - lse).sum()), score
 
 
-def pseudo_log_likelihood(
-    q: QTable, histories: list[History], filtered: list[FilteredPath]
-) -> float:
+def pseudo_log_likelihood(q: QTable, filtered: FilteredDataset) -> float:
     """Choice term with beliefs frozen at the dynamics used to filter them."""
-    points = ChoicePoints.from_filtered(q.grid, histories, filtered)
-    return points.sum_log_pi(q.values)
+    return ChoicePoints.from_filtered(q.grid, filtered).sum_log_pi(q.values)
 
 
 def log_likelihood(
@@ -316,16 +306,14 @@ def log_likelihood(
     if not histories:
         return LogLikelihood(0.0, 0.0, PRIOR_TERM)
     try:
-        filtered = filter_dataset(model, histories)
+        filtered = filter_dataset(model, DatasetBlocks.from_histories(histories, model))
     except ZeroObservationProbability:
         return LogLikelihood(float("-inf"), 0.0, PRIOR_TERM)
-    obs_term = filtered_obs_term(filtered)
     if qtable is None:
         if grid is None:
             grid = BeliefGrid.create(model.n_states, resolution)
         qtable = bellman_solve(model, grid, tol=tol).qtable
-    choice_term = pseudo_log_likelihood(qtable, histories, filtered)
-    return LogLikelihood(obs_term, choice_term, PRIOR_TERM)
+    return LogLikelihood(filtered.obs_term, pseudo_log_likelihood(qtable, filtered), PRIOR_TERM)
 
 
 def grad_q(

@@ -137,6 +137,8 @@ class History:
         return self.acts.size
 
     def validate_against(self, model: PomdpModel) -> None:
+        if self.x0.probs.size != model.n_states:
+            raise InvalidParams(f"initial belief has {self.x0.probs.size} states, model has {model.n_states}")
         if self.obs.size and self.obs.max() >= model.n_obs:
             raise InvalidParams(f"observation index out of range for n_obs={model.n_obs}")
         if self.acts.size and self.acts.max() >= model.n_actions:

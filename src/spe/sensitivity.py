@@ -20,7 +20,6 @@ import numpy as np
 from .errors import ContractionUndefined, InvalidParams
 from .estimator import EstimatorConfig, _require_decisions, stage1_fit_theta2
 from .estimator import stage2_policy_gradient
-from .likelihood import FilteredPath
 # Unused here; kept because the traced benchmark (bench/layers.py) wraps this name.
 from .likelihood import filter_dataset
 from .model import Belief, History, PomdpModel, SIGMA_FLOOR
@@ -169,8 +168,8 @@ def x0_sweep_estimate(
     from the objective; the spread is the 2-norm diameter of the dynamics
     estimates for one burn-in M. Each fit starts from the previous estimate.
     With refit_rewards the reward stage is rerun per candidate on the
-    post-burn-in tails of the stage-one belief paths, and the reward spread
-    is recorded too.
+    stage-one filtered dataset cut at the burn-in (FilteredDataset.tail),
+    and the reward spread is recorded too.
     """
     _require_decisions(histories)
     if config is None:
@@ -212,7 +211,8 @@ def x0_sweep_estimate(
             fit_config = dataclasses.replace(config, theta2_init=tuple(res.theta2))
             vecs.append(np.asarray(res.theta2, dtype=np.float64).ravel())
             if refit_rewards:
-                theta1_vecs.append(_refit_rewards_tail(fit_histories, family, res, m, config))
+                refit = stage2_policy_gradient(family, res.theta2, config, res.filtered.tail(m))
+                theta1_vecs.append(refit.theta1)
         vecs = np.stack(vecs)
         theta2_by_m[m] = vecs
         spreads.append(_diameter(vecs))
@@ -228,20 +228,6 @@ def x0_sweep_estimate(
         theta1_by_m=theta1_by_m if refit_rewards else None,
         theta1_spreads=theta1_spreads if refit_rewards else None,
     )
-
-
-def _refit_rewards_tail(histories, family, stage1, burn_in, config):
-    """Reward stage on the history tails, on the stage-one belief paths cut at burn_in."""
-    tails = [
-        History(Belief(f.beliefs[burn_in]), h.obs[burn_in:], h.acts[burn_in:])
-        for h, f in zip(histories, stage1.filtered)
-    ]
-    paths = [
-        FilteredPath(f.beliefs[burn_in:], f.sigmas[burn_in:], f.model_key)
-        for f in stage1.filtered
-    ]
-    res = stage2_policy_gradient(tails, family, stage1.theta2, config, paths)
-    return np.asarray(res.theta1, dtype=np.float64)
 
 
 @dataclass(frozen=True)

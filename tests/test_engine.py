@@ -437,6 +437,22 @@ def test_dynamics_of_the_wrong_length_are_refused(family):
             family.build_model(family.default_theta1(), np.full(wrong, 1.0 / wrong))
 
 
+@pytest.mark.parametrize("family", [EngineFamily(), MdpEngineFamily()], ids=type)
+def test_chart_points_of_the_wrong_length_are_refused(family):
+    # a wrong-length chart point used to be cut or padded into some theta2,
+    # and a wrong-length theta2 to end in numpy's reshape error
+    dim = family.default_theta2().size
+    n_u = family.theta2_to_unconstrained(family.default_theta2()).size
+    for wrong in (n_u - 2, n_u - 1, n_u + 1, n_u + 2):
+        with pytest.raises(InvalidParams, match=f"u must hold {n_u} entries"):
+            family.theta2_from_unconstrained(np.zeros(wrong))
+        with pytest.raises(InvalidParams, match=f"u must hold {n_u} entries"):
+            family.kernel_blocks(np.zeros(wrong))
+    for wrong in (dim - 1, dim + 1, dim + 2):
+        with pytest.raises(InvalidParams, match=f"theta2 must hold {dim} entries"):
+            family.theta2_to_unconstrained(np.full(wrong, 1.0 / wrong))
+
+
 @pytest.mark.parametrize("n_bins", [7, 120])
 @pytest.mark.parametrize("family_type", [EngineFamily, MdpEngineFamily], ids=lambda t: t.__name__)
 def test_kernel_blocks_match_build_kernel_and_central_differences(family_type, n_bins):

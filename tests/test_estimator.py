@@ -10,6 +10,7 @@ from spe import (
     EngineFamily,
     EstimatorConfig,
     History,
+    MdpEngineFamily,
     InvalidParams,
     PomdpModel,
     SimConfig,
@@ -61,6 +62,17 @@ class TwoButtonFamily:
         )
 
 
+def frozen(family, histories):
+    """The histories filtered at the family's dynamics, for stage two."""
+    model = family.build_model(family.default_theta1(), None)
+    return filter_dataset(model, DatasetBlocks.from_histories(histories, model))
+
+
+def increments(*histories):
+    """empirical_increments of observable-engine histories."""
+    return empirical_increments(DatasetBlocks.from_histories(list(histories), MdpEngineFamily()), n_bins=120)
+
+
 @pytest.fixture(scope="module")
 def small_fleet():
     return simulate(reference_params(), SimConfig(24, 50, seed=5)).histories
@@ -87,8 +99,7 @@ def test_stage1_dominates_truth(small_fleet, small_config):
     assert s1.converged
     # frozen paths were filtered at the fitted dynamics
     model_hat = family.build_model(family.default_theta1(), s1.theta2)
-    assert s1.filtered is not None
-    assert all(fp.model_key == model_hat.content_key() for fp in s1.filtered)
+    assert s1.filtered.model_key == model_hat.content_key()
 
 
 def test_stage1_trace_costs_no_extra_filter_pass(small_fleet, small_config, monkeypatch):
@@ -182,7 +193,7 @@ def test_fit_reports_the_stages_own_likelihood(monkeypatch, small_report):
     assert len(builds) == 1
     for rep in (report, small_report):
         assert rep.loglik.choice_term == rep.stage2.pseudo_loglik
-        obs_term = float(sum(np.log(f.sigmas).sum() for f in rep.stage1.filtered))
+        obs_term = float(sum(np.log(sigmas).sum() for sigmas in rep.stage1.filtered.sigmas))
         assert rep.loglik.obs_term == obs_term
 
 
@@ -218,8 +229,7 @@ def test_two_button_oracle():
         grid_resolution=2, grad_norm_tol=1e-6, max_stage2_iters=200
     )
     s2 = stage2_policy_gradient(
-        hs, family, family.default_theta2(), cfg,
-        filter_dataset(family.build_model(family.default_theta1(), None), hs),
+        family, family.default_theta2(), cfg, frozen(family, hs),
     )
     assert s2.converged
     assert s2.n_iters <= 5
@@ -249,8 +259,7 @@ def test_fixed_step_stationarity_bound():
         step_size=rho,
     )
     s2 = stage2_policy_gradient(
-        hs, family, family.default_theta2(), cfg,
-        filter_dataset(family.build_model(family.default_theta1(), None), hs),
+        family, family.default_theta2(), cfg, frozen(family, hs),
     )
     assert s2.diagnostics["mode"] == "fixed"
     lipschitz = s2.diagnostics["grad_lipschitz"]
@@ -280,8 +289,7 @@ def test_fixed_step_outside_stable_range_warns():
     )
     with pytest.warns(UserWarning, match="outside the guaranteed range"):
         stage2_policy_gradient(
-            hs, family, family.default_theta2(), cfg,
-            filter_dataset(family.build_model(family.default_theta1(), None), hs),
+            family, family.default_theta2(), cfg, frozen(family, hs),
         )
 
 
@@ -298,7 +306,7 @@ def test_stage2_solves_each_point_once(monkeypatch, small_fleet, small_config, s
     monkeypatch.setattr(BellmanSolver, "solve", counted)
     family = EngineFamily()
     s2 = stage2_policy_gradient(
-        small_fleet, family, small_report.theta2, small_config, small_report.stage1.filtered
+        family, small_report.theta2, small_config, small_report.stage1.filtered
     )
     assert s2.converged
     rejected = sum(round(-np.log2(step)) for step in s2.step_sizes)
@@ -315,8 +323,7 @@ def test_stage2_solves_each_point_once(monkeypatch, small_fleet, small_config, s
         grid_resolution=2, grad_norm_tol=1e-12, max_stage2_iters=10, step_size=1e-6
     )
     s2 = stage2_policy_gradient(
-        hs, family, family.default_theta2(), cfg,
-        filter_dataset(family.build_model(family.default_theta1(), None), hs),
+        family, family.default_theta2(), cfg, frozen(family, hs),
     )
     assert s2.n_iters == 10
     assert len(solves) == len(s2.loglik_trace) == 11
@@ -328,7 +335,7 @@ def test_iteration_cap_flags_non_convergence(small_fleet):
     )
     family = EngineFamily()
     s1 = stage1_fit_theta2(small_fleet, family, cfg)
-    s2 = stage2_policy_gradient(small_fleet, family, s1.theta2, cfg, s1.filtered)
+    s2 = stage2_policy_gradient(family, s1.theta2, cfg, s1.filtered)
     assert not s2.converged
     assert np.all(np.isfinite(s2.theta1))   # best iterate still returned
 
@@ -337,7 +344,7 @@ def test_empirical_increments_hand_counts():
     x = Belief(np.ones(1))
     h1 = History(x, np.array([0, 2, 2, 5]), np.array([0, 0, 0]))
     h2 = History(x, np.array([10, 11, 0, 1]), np.array([0, 1, 0]))
-    got = empirical_increments([h1, h2], n_bins=120)
+    got = increments(h1, h2)
     # deltas: +2, 0, +3 from h1; +1 twice from h2 around the replacement,
     # whose own step carries no increment information
     np.testing.assert_allclose(got, np.array([1, 2, 1, 1]) / 5.0, atol=1e-12)
@@ -348,13 +355,13 @@ def test_empirical_increments_censoring_and_fallback():
     # start bin 117 could censor a 3-step increment against the cap at 119
     capped = History(x, np.array([117, 119]), np.array([0]))
     np.testing.assert_allclose(
-        empirical_increments([capped], n_bins=120), np.full(4, 0.25), atol=0
+        increments(capped), np.full(4, 0.25), atol=0
     )
     low = History(x, np.array([3, 4]), np.array([0]))
-    got = empirical_increments([capped, low], n_bins=120)
+    got = increments(capped, low)
     np.testing.assert_allclose(got, [0.0, 1.0, 0.0, 0.0], atol=0)
     with pytest.raises(ValueError):
-        empirical_increments([History(x, np.array([5, 1]), np.array([0]))], n_bins=120)
+        increments(History(x, np.array([5, 1]), np.array([0])))
 
 
 def test_mdp_baseline_matches_pomdp_on_observable_data(small_config):

@@ -17,7 +17,7 @@ from spe import (
     solve,
 )
 from spe.bellman import BellmanSolver
-from spe.likelihood import ChoicePoints
+from spe.likelihood import ChoicePoints, DatasetBlocks
 from support import random_belief, random_model
 
 
@@ -121,17 +121,17 @@ def test_score_rows_match_scalar_grad_log_pi(probe_setup):
         )
         for _ in range(4)
     ]
-    fps = filter_dataset(m0, hs)
-    points = ChoicePoints.from_filtered(grid, hs, fps)
+    fps = filter_dataset(m0, DatasetBlocks.from_histories(hs, m0))
+    points = ChoicePoints.from_filtered(grid, fps)
     value, scores = points.grad_sum_log_pi(q0.values, g0.values)
     want = [
-        grad_log_pi(g0, q0, int(h.obs[t]), fp.beliefs[t], int(h.acts[t]))
-        for h, fp in zip(hs, fps)
+        grad_log_pi(g0, q0, int(h.obs[t]), beliefs[t], int(h.acts[t]))
+        for h, beliefs in zip(hs, fps.beliefs)
         for t in range(h.horizon)
     ]
     assert scores.shape == (20, 3)
     np.testing.assert_allclose(scores, np.stack(want), rtol=0.0, atol=1e-12)
-    assert value == pytest.approx(pseudo_log_likelihood(q0, hs, fps), abs=1e-12)
+    assert value == pytest.approx(pseudo_log_likelihood(q0, fps), abs=1e-12)
 
 
 def test_grad_fixed_point_contracts(probe_setup):

@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
+import spe
 from spe import (
     Belief,
     BeliefGrid,
@@ -25,6 +26,7 @@ from spe.likelihood import DatasetBlocks
 from spe.model import SIGMA_FLOOR
 from support import (
     apply_lambda_M,
+    call_sites,
     random_belief,
     random_model,
     sparse_random_model,
@@ -52,6 +54,10 @@ def simulate_crude(model, rng, horizon, x0=None):
         acts.append(a)
         z, s = z2, s2
     return History(x, np.array(obs), np.array(acts))
+
+
+def filtered(model, *histories):
+    return filter_dataset(model, DatasetBlocks.from_histories(list(histories), model))
 
 
 def brute_force_obs_loglik(model, history) -> float:
@@ -102,11 +108,11 @@ def test_filter_matches_scalar_updates():
     for m in (random_model(seed=8, n_obs=3), sparse_random_model(seed=5, n_states=3)):
         rng = np.random.default_rng(11)
         h = simulate_crude(m, rng, 7)
-        fp = filter_dataset(m, [h])[0]
+        fp = filtered(m, h)
         x = h.x0
         for t in range(h.horizon):
-            np.testing.assert_allclose(fp.beliefs[t], x.probs, atol=1e-12)
-            assert fp.sigmas[t] == pytest.approx(
+            np.testing.assert_allclose(fp.beliefs[0, t], x.probs, atol=1e-12)
+            assert fp.sigmas[0, t] == pytest.approx(
                 sigma(m, int(h.obs[t + 1]), int(h.obs[t]), x, int(h.acts[t])), abs=1e-12
             )
             x = lambda_update(m, int(h.obs[t + 1]), int(h.obs[t]), x, int(h.acts[t]))
@@ -116,9 +122,9 @@ def test_filter_matches_scalar_updates():
 def test_filter_agrees_with_apply_lambda():
     m = two_state_hand_model()
     h = History(Belief(np.array([0.5, 0.5])), np.array([0, 1, 0]), np.array([0, 0]))
-    fp = filter_dataset(m, [h])[0]
+    fp = filtered(m, h)
     mid = apply_lambda_M(m, [0, 1], [0], h.x0)
-    np.testing.assert_allclose(fp.beliefs[1], mid.probs, atol=1e-14)
+    np.testing.assert_allclose(fp.beliefs[0, 1], mid.probs, atol=1e-14)
 
 
 def test_brute_force_oracle_small_histories():
@@ -177,8 +183,8 @@ def test_engine_reset_belief_in_filter(engine_model):
         np.array([3, 5, 0, 1]),
         np.array([0, 1, 0]),
     )
-    fp = filter_dataset(engine_model, [h])[0]
-    np.testing.assert_allclose(fp.beliefs[2], [1.0, 0.0], atol=1e-12)
+    fp = filtered(engine_model, h)
+    np.testing.assert_allclose(fp.beliefs[0, 2], [1.0, 0.0], atol=1e-12)
 
 
 def test_rank_one_kernel_forgets_x0_after_one_step():
@@ -188,9 +194,9 @@ def test_rank_one_kernel_forgets_x0_after_one_step():
     m = PomdpModel(2, 2, 1, kernel, np.zeros((1, 2, 2)), 0.9)
     obs = np.array([0, 1, 0, 1])
     acts = np.array([0, 0, 0])
-    fa = filter_dataset(m, [History(Belief(np.array([0.9, 0.1])), obs, acts)])[0]
-    fb = filter_dataset(m, [History(Belief(np.array([0.1, 0.9])), obs, acts)])[0]
-    np.testing.assert_allclose(fa.beliefs[1:], fb.beliefs[1:], atol=1e-13)
+    fa = filtered(m, History(Belief(np.array([0.9, 0.1])), obs, acts))
+    fb = filtered(m, History(Belief(np.array([0.1, 0.9])), obs, acts))
+    np.testing.assert_allclose(fa.beliefs[0, 1:-1], fb.beliefs[0, 1:-1], atol=1e-13)
 
 
 def test_burn_in_drops_prefix_terms():
@@ -202,8 +208,8 @@ def test_burn_in_drops_prefix_terms():
     tail = observation_loglik(m.kernel, blocks, burn_in=2)
     manual = 0.0
     for h in hs:
-        fp = filter_dataset(m, [h])[0]
-        manual += float(np.log(fp.sigmas[2:]).sum())
+        fp = filtered(m, h)
+        manual += float(np.log(fp.sigmas[0, 2:]).sum())
     assert tail == pytest.approx(manual, abs=1e-10)
     assert tail != pytest.approx(full, abs=1e-6)
     with pytest.raises(InvalidParams):
@@ -290,21 +296,59 @@ def test_floored_steps_add_nothing_to_the_score():
     assert score_of(restart)[1][0] == pytest.approx(score_of(fresh)[1][0], rel=1e-14)
 
 
-def test_mixed_horizon_blocks_group_and_sum():
+@pytest.mark.parametrize("horizons", [(2, 5, 2, 7), (0, 1, 7, 100)], ids=["2-5-2-7", "0-1-7-100"])
+def test_mixed_horizon_blocks_group_and_sum(horizons):
+    # one padded batch gives what each history gives alone: the value, its
+    # score, the stored observation term and the choice term
     m = random_model(seed=61, n_obs=3)
     rng = np.random.default_rng(41)
-    hs = [simulate_crude(m, rng, t) for t in (2, 5, 2, 7)]
+    hs = [simulate_crude(m, rng, t) for t in horizons]
     blocks = DatasetBlocks.from_histories(hs, m)
-    assert blocks.n_histories == 4
-    assert blocks.total_steps == 2 + 5 + 2 + 7
-    assert len(blocks.blocks) == 3   # horizons 2, 5, 7
+    assert blocks.acts.shape == (4, max(horizons))
+    assert blocks.horizons.sum() == sum(horizons)
+    singles = [DatasetBlocks.from_histories([h], m) for h in hs]
     total = observation_loglik(m.kernel, blocks)
-    by_hand = sum(
-        observation_loglik(m.kernel, DatasetBlocks.from_histories([h], m)) for h in hs
-    )
-    assert total == pytest.approx(by_hand, abs=1e-10)
-    fps = filter_dataset(m, hs)
-    assert [fp.sigmas.shape[0] for fp in fps] == [2, 5, 2, 7]
+    by_hand = sum(observation_loglik(m.kernel, b) for b in singles)
+    assert total == pytest.approx(by_hand, abs=1e-12)
+    table = _one_direction(m.kernel, m.kernel * rng.standard_normal(m.kernel.shape))
+    score = observation_score(table, blocks)[1][0]
+    assert score == pytest.approx(sum(observation_score(table, b)[1][0] for b in singles), abs=1e-12)
+    fps = filter_dataset(m, blocks)
+    alone = [filter_dataset(m, b) for b in singles]
+    assert fps.sigmas.shape == (4, max(horizons))
+    assert np.all(fps.sigmas[~blocks.steps] == 1.0)
+    assert fps.obs_term == pytest.approx(sum(f.obs_term for f in alone), abs=1e-12)
+    q = solve(m, resolution=21, tol=1e-11).qtable
+    choice = sum(pseudo_log_likelihood(q, f) for f in alone)
+    assert pseudo_log_likelihood(q, fps) == pytest.approx(choice, abs=1e-12)
+
+
+def test_burn_in_on_mixed_horizons():
+    # burn-in cuts every history's prefix, and is refused exactly when some
+    # history is no longer than it
+    m = random_model(seed=63, n_obs=3)
+    rng = np.random.default_rng(43)
+    hs = [simulate_crude(m, rng, t) for t in (3, 9)]
+    blocks = DatasetBlocks.from_histories(hs, m)
+    table = _one_direction(m.kernel, m.kernel * rng.standard_normal(m.kernel.shape))
+    value, score = observation_score(table, blocks, burn_in=2)
+    tails = [observation_score(table, DatasetBlocks.from_histories([h], m), burn_in=2) for h in hs]
+    assert value == pytest.approx(sum(v for v, _ in tails), abs=1e-12)
+    assert score[0] == pytest.approx(sum(g[0] for _, g in tails), abs=1e-12)
+    assert value == pytest.approx(sum(np.log(filtered(m, h).sigmas[0, 2:]).sum() for h in hs), abs=1e-12)
+    with pytest.raises(InvalidParams):
+        observation_score(table, blocks, burn_in=3)
+
+
+def test_dataset_is_laid_out_once_per_fit():
+    # stage one lays the histories out and filters that layout at its
+    # estimate; stage two and the report read the same FilteredDataset
+    assert call_sites(("from_histories",)) == [
+        ("estimator.py", "fit_mdp_baseline", "DatasetBlocks.from_histories"),
+        ("estimator.py", "stage1_fit_theta2", "DatasetBlocks.from_histories"),
+        ("likelihood.py", "log_likelihood", "DatasetBlocks.from_histories"),
+    ]
+    assert "FilteredPath" not in spe.__all__
 
 
 def test_pseudo_log_likelihood_matches_pointwise():
@@ -313,10 +357,10 @@ def test_pseudo_log_likelihood_matches_pointwise():
     hs = [simulate_crude(m, rng, 4) for _ in range(3)]
     grid = BeliefGrid.create(m.n_states, 21)
     q = solve(m, grid=grid, tol=1e-11).qtable
-    fps = filter_dataset(m, hs)
-    got = pseudo_log_likelihood(q, hs, fps)
+    fps = filtered(m, *hs)
+    got = pseudo_log_likelihood(q, fps)
     want = 0.0
-    for h, fp in zip(hs, fps):
+    for h, beliefs in zip(hs, fps.beliefs):
         for t in range(h.horizon):
-            want += float(np.log(ccp(q, int(h.obs[t]), fp.beliefs[t])[int(h.acts[t])]))
+            want += float(np.log(ccp(q, int(h.obs[t]), beliefs[t])[int(h.acts[t])]))
     assert got == pytest.approx(want, abs=1e-10)

@@ -29,6 +29,7 @@ from spe import (
     two_period_identification_probe,
     x0_sweep_estimate,
 )
+from spe.likelihood import DatasetBlocks
 from spe.model import SIGMA_FLOOR
 from support import random_belief, random_model, sparse_random_model, two_state_hand_model
 
@@ -280,11 +281,14 @@ def test_sweep_refit_rewards_path(ref_params):
     for c, theta2, theta1 in zip(cands, res.theta2_by_m[2], res.theta1_by_m[2]):
         model = family.build_model(family.default_theta1(), theta2)
         rebased = [History(Belief(c), h.obs, h.acts) for h in sim.histories]
+        paths = filter_dataset(model, DatasetBlocks.from_histories(rebased, model))
         tails = [
-            History(Belief(f.beliefs[2]), h.obs[2:], h.acts[2:])
-            for h, f in zip(rebased, filter_dataset(model, rebased))
+            History(Belief(x[2]), h.obs[2:], h.acts[2:])
+            for h, x in zip(rebased, paths.beliefs)
         ]
-        again = stage2_policy_gradient(tails, family, theta2, cfg, filter_dataset(model, tails))
+        again = stage2_policy_gradient(
+            family, theta2, cfg, filter_dataset(model, DatasetBlocks.from_histories(tails, model))
+        )
         np.testing.assert_array_equal(again.theta1, theta1)
 
 
