@@ -39,7 +39,7 @@ _SUBMODULES = {
         "stage2_policy_gradient",
     ),
     "engine": (
-        "EngineFamily", "EngineParams", "MdpEngineFamily", "SimConfig", "SimResult",
+        "EngineFamily", "EngineParams", "SimConfig", "SimResult",
         "build_engine_model", "emit_dataset", "emit_debug_sidecar", "load_dataset",
         "load_fleet_records", "load_params", "reference_params", "save_params", "simulate",
     ),

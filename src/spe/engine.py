@@ -7,9 +7,10 @@ increment of 0..3 bins whose distribution depends on s, and the condition
 evolves with given persistence probabilities. Replacing (a = 1) pays a fixed
 cost and resets both usage and condition.
 
-The module also carries the fully observed baseline family (the same model
-with a single condition) used for misspecification comparisons, a simulator
-for synthetic datasets, and JSONL dataset IO.
+EngineFamily parametrizes this model; with n_conditions=1 it is the same
+model with a single condition, the fully observed baseline of Rust (1987)
+used for misspecification comparisons. The module also carries a simulator
+for synthetic datasets and JSONL dataset IO.
 
 Field data note: fits on the historical bus-fleet maintenance records that
 motivated this benchmark reached a log likelihood of about -3819 for the
@@ -20,6 +21,7 @@ documenting the expected interface.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -170,24 +172,37 @@ def _logit(p: np.ndarray) -> np.ndarray:
 
 
 def _stay_matrix(pers: np.ndarray) -> np.ndarray:
-    """Condition transitions when keeping: stay at s with probability pers[s]."""
+    """Condition transitions when keeping: stay at s with probability pers[s], or the one condition."""
+    if not len(pers):
+        return np.ones((1, 1))
     return np.array([[pers[0], 1.0 - pers[0]], [1.0 - pers[1], pers[1]]])
 
 
-class _EngineBase:
-    """What both replacement families share: usage bins, discount, the reward.
+class EngineFamily:
+    """Parametric family of the replacement model with K = n_conditions hidden conditions.
 
-    theta1 = (one cost slope per condition, replacement_cost) enters the
-    reward table linearly. Each family defines build_kernel on its own class,
-    so a kernel build can be timed per family, and _chart_factors, the
-    kernel's two factors and their derivatives in the unconstrained chart.
+    K = 2 is the hidden-condition model; K = 1 is the fully observed engine
+    model of Rust (1987), the baseline for misspecification comparisons.
+    Reward parameters theta1 = (one cost slope per condition,
+    replacement_cost) enter the reward table linearly. Dynamics parameters
+    theta2 stack the persistence probabilities (K = 2 only) and one increment
+    row per condition: (p_good, p_bad, inc_good[0..3], inc_bad[0..3]), 10
+    entries, or inc[0..3]; each increment row sums to 1. The unconstrained
+    chart uses logits for the persistences and anchored log-ratios for the
+    increment rows (8 or 3 free coordinates).
     """
 
     n_actions = 2
 
-    def __init__(self, n_mileage_bins: int = 120, discount: float = 0.95):
+    def __init__(self, n_mileage_bins: int = 120, discount: float = 0.95, n_conditions: int = 2):
+        if isinstance(n_conditions, bool) or n_conditions not in (1, 2):
+            raise InvalidParams(f"n_conditions must be 1 or 2, got {n_conditions!r}")
+        if not n_mileage_bins >= N_INCREMENTS:      # EngineParams' rule
+            raise InvalidParams(f"need at least {N_INCREMENTS} usage bins")
         self.n_mileage_bins = n_mileage_bins
         self.discount = discount
+        self.n_states = int(n_conditions)
+        self._n_pers = 0 if n_conditions == 1 else self.n_states
 
     @property
     def n_obs(self) -> int:
@@ -195,6 +210,26 @@ class _EngineBase:
 
     def default_theta1(self) -> np.ndarray:
         return np.zeros(self.n_states + 1)
+
+    def default_theta2(self) -> np.ndarray:
+        uniform = np.full(N_INCREMENTS, 1.0 / N_INCREMENTS)
+        return np.concatenate([np.full(self._n_pers, 0.5), np.tile(uniform, self.n_states)])
+
+    def params_to_theta(self, params: EngineParams) -> tuple[np.ndarray, np.ndarray]:
+        if self.n_states != 2:
+            raise InvalidParams("EngineParams describe the two-condition model")
+        theta1 = np.array([params.cost_slopes[0], params.cost_slopes[1], params.replacement_cost])
+        theta2 = np.concatenate([params.persistence, params.increments.ravel()])
+        return theta1, theta2
+
+    def theta_to_params(self, theta1: np.ndarray, theta2: np.ndarray) -> EngineParams:
+        return EngineParams(
+            persistence=np.asarray(theta2[:2]),
+            increments=np.asarray(theta2[2:]).reshape(2, N_INCREMENTS),
+            cost_slopes=np.asarray(theta1[:2]),
+            replacement_cost=float(theta1[2]),
+            n_mileage_bins=self.n_mileage_bins,
+        )
 
     def reward_tensor(self, theta1: np.ndarray) -> np.ndarray:
         slopes = np.asarray(theta1[:-1])
@@ -213,16 +248,34 @@ class _EngineBase:
             raise InvalidParams(f"{'u' if chart else 'theta2'} must hold {size} entries")
         return np.asarray(values, dtype=np.float64)
 
+    def _split(self, theta2) -> tuple[np.ndarray, np.ndarray]:
+        """(persistences, increments (K, 4)) of theta2."""
+        theta2 = np.asarray(theta2)
+        return theta2[: self._n_pers], theta2[self._n_pers :].reshape(self.n_states, N_INCREMENTS)
+
+    def theta2_to_unconstrained(self, theta2: np.ndarray) -> np.ndarray:
+        pers, inc = self._split(self._sized(theta2, chart=False))
+        return np.concatenate([_logit(pers), *(_anchored_logits(row) for row in inc)])
+
+    def theta2_from_unconstrained(self, u: np.ndarray) -> np.ndarray:
+        u = self._sized(u, chart=True)
+        rows = u[self._n_pers :].reshape(self.n_states, N_INCREMENTS - 1)
+        return np.concatenate([expit(u[: self._n_pers]), *(_anchored_softmax(row) for row in rows)])
+
     def build_model(self, theta1: np.ndarray, theta2: np.ndarray) -> PomdpModel:
-        self._sized(theta2, chart=False)
         return PomdpModel(
             n_states=self.n_states,
             n_obs=self.n_obs,
             n_actions=self.n_actions,
-            kernel=self.build_kernel(theta2),
+            kernel=self.build_kernel(self._sized(theta2, chart=False)),
             reward=self.reward_tensor(theta1),
             discount=self.discount,
         )
+
+    def build_kernel(self, theta2: np.ndarray) -> np.ndarray:
+        pers, increments = self._split(theta2)
+        block_of, blocks = _engine_blocks(_stay_matrix(pers), increments, self.n_mileage_bins)
+        return np.ascontiguousarray(blocks[block_of].transpose(0, 1, 3, 2, 4))
 
     def kernel_blocks(self, u: np.ndarray):
         """(block_of, blocks, d_blocks) of build_kernel(theta2_from_unconstrained(u)).
@@ -230,7 +283,14 @@ class _EngineBase:
         blocks[block_of[a, z, z']] is kernel[a, z, :, z', :] bit for bit, and
         d_blocks of the same row its derivative in u, shape (s, s', n_u).
         """
-        stay, d_stay, inc, d_inc = self._chart_factors(np.asarray(u, dtype=np.float64))
+        pers, inc = self._split(self.theta2_from_unconstrained(u))
+        stay, n_p, k = _stay_matrix(pers), self._n_pers, N_INCREMENTS - 1
+        d_stay = np.zeros(stay.shape + (np.size(u),))
+        d_inc = np.zeros(inc.shape + (np.size(u),))
+        for s in range(n_p):
+            d_stay[s, :, s] = pers[s] * (1.0 - pers[s]) * np.where(np.arange(n_p) == s, 1.0, -1.0)
+        for s in range(self.n_states):
+            d_inc[s, :, n_p + s * k : n_p + (s + 1) * k] = _anchored_softmax_jacobian(inc[s])
         n = self.n_mileage_bins
         block_of, blocks = _engine_blocks(stay, inc, n)
         mass, d_mass = _usage_masses(inc, n), _usage_masses(d_inc, n)
@@ -239,120 +299,25 @@ class _EngineBase:
         d_blocks[2:] = d_keep.reshape(d_blocks[2:].shape)
         return block_of, blocks, d_blocks
 
-
-class EngineFamily(_EngineBase):
-    """Parametric family for the hidden-condition model.
-
-    Reward parameters theta1 = (slope_good, slope_bad, replacement_cost).
-    Dynamics parameters theta2 stack the two persistence probabilities and
-    the two increment rows: (p_good, p_bad, inc_good[0..3], inc_bad[0..3]),
-    10 entries with each increment row summing to 1. The unconstrained chart
-    uses logits for the persistences and anchored log-ratios for the
-    increment rows (8 free coordinates).
-    """
-
-    n_states = 2
-
-    def params_to_theta(self, params: EngineParams) -> tuple[np.ndarray, np.ndarray]:
-        theta1 = np.array([params.cost_slopes[0], params.cost_slopes[1], params.replacement_cost])
-        theta2 = np.concatenate([params.persistence, params.increments.ravel()])
-        return theta1, theta2
-
-    def theta_to_params(self, theta1: np.ndarray, theta2: np.ndarray) -> EngineParams:
-        return EngineParams(
-            persistence=np.asarray(theta2[:2]),
-            increments=np.asarray(theta2[2:]).reshape(2, N_INCREMENTS),
-            cost_slopes=np.asarray(theta1[:2]),
-            replacement_cost=float(theta1[2]),
-            n_mileage_bins=self.n_mileage_bins,
-        )
-
-    def default_theta2(self) -> np.ndarray:
-        uniform = np.full(N_INCREMENTS, 1.0 / N_INCREMENTS)
-        return np.concatenate([[0.5, 0.5], uniform, uniform])
-
-    def theta2_to_unconstrained(self, theta2: np.ndarray) -> np.ndarray:
-        inc = self._sized(theta2, chart=False)[2:].reshape(2, N_INCREMENTS)
-        return np.concatenate(
-            [_logit(theta2[:2]), _anchored_logits(inc[0]), _anchored_logits(inc[1])]
-        )
-
-    def theta2_from_unconstrained(self, u: np.ndarray) -> np.ndarray:
-        u = self._sized(u, chart=True)
-        k = N_INCREMENTS - 1
-        return np.concatenate(
-            [
-                expit(u[:2]),
-                _anchored_softmax(u[2 : 2 + k]),
-                _anchored_softmax(u[2 + k : 2 + 2 * k]),
-            ]
-        )
-
-    def build_kernel(self, theta2: np.ndarray) -> np.ndarray:
-        increments = np.asarray(theta2[2:]).reshape(2, N_INCREMENTS)
-        block_of, blocks = _engine_blocks(_stay_matrix(theta2[:2]), increments, self.n_mileage_bins)
-        return np.ascontiguousarray(blocks[block_of].transpose(0, 1, 3, 2, 4))
-
-    def _chart_factors(self, u: np.ndarray):
-        """(stay, d stay/du, increments, d increments/du) at chart point u."""
-        theta2 = self.theta2_from_unconstrained(u)
-        pers = theta2[:2]
-        inc = theta2[2:].reshape(2, N_INCREMENTS)
-        k = N_INCREMENTS - 1
-        d_stay = np.zeros((2, 2, u.size))
-        d_inc = np.zeros((2, N_INCREMENTS, u.size))
-        for s in range(2):
-            d_stay[s, :, s] = pers[s] * (1.0 - pers[s]) * np.where(np.arange(2) == s, 1.0, -1.0)
-            d_inc[s, :, 2 + s * k : 2 + (s + 1) * k] = _anchored_softmax_jacobian(inc[s])
-        return _stay_matrix(pers), d_stay, inc, d_inc
-
     def describe(self, theta1: np.ndarray, theta2: np.ndarray) -> dict:
+        pers, inc = self._split(theta2)
+        names = ("",) if self.n_states == 1 else ("_good", "_bad")
         return {
-            "cost_slope_good": float(theta1[0]),
-            "cost_slope_bad": float(theta1[1]),
-            "replacement_cost": float(theta1[2]),
-            "persistence_good": float(theta2[0]),
-            "persistence_bad": float(theta2[1]),
-            "increments_good": [float(v) for v in theta2[2 : 2 + N_INCREMENTS]],
-            "increments_bad": [float(v) for v in theta2[2 + N_INCREMENTS :]],
+            **{f"cost_slope{name}": float(v) for name, v in zip(names, theta1)},
+            "replacement_cost": float(theta1[-1]),
+            **{f"persistence{name}": float(p) for name, p in zip(names, pers)},
+            **{f"increments{name}": [float(v) for v in row] for name, row in zip(names, inc)},
         }
 
 
-class MdpEngineFamily(_EngineBase):
-    """Fully observed baseline: the engine model with a single condition.
+class MdpEngineFamily(EngineFamily):
+    # EngineFamily(n_conditions=1) under its old name, unused in the package; kept
+    # because the traced benchmark (bench/layers.py) wraps this class's own build_kernel.
 
-    theta1 = (cost_slope, replacement_cost); theta2 is the single increment
-    distribution (4 entries summing to 1).
-    """
+    def __init__(self, n_mileage_bins: int = 120, discount: float = 0.95):
+        super().__init__(n_mileage_bins, discount, n_conditions=1)
 
-    n_states = 1
-
-    def default_theta2(self) -> np.ndarray:
-        return np.full(N_INCREMENTS, 1.0 / N_INCREMENTS)
-
-    def theta2_to_unconstrained(self, theta2: np.ndarray) -> np.ndarray:
-        return _anchored_logits(self._sized(theta2, chart=False))
-
-    def theta2_from_unconstrained(self, u: np.ndarray) -> np.ndarray:
-        return _anchored_softmax(self._sized(u, chart=True))
-
-    def build_kernel(self, theta2: np.ndarray) -> np.ndarray:
-        increments = np.asarray(theta2)[None, :]
-        block_of, blocks = _engine_blocks(np.ones((1, 1)), increments, self.n_mileage_bins)
-        return np.ascontiguousarray(blocks[block_of].transpose(0, 1, 3, 2, 4))
-
-    def _chart_factors(self, u: np.ndarray):
-        """(stay, d stay/du, increments, d increments/du) at chart point u."""
-        inc = self.theta2_from_unconstrained(u)
-        d_inc = _anchored_softmax_jacobian(inc)[None]
-        return np.ones((1, 1)), np.zeros((1, 1, u.size)), inc[None, :], d_inc
-
-    def describe(self, theta1: np.ndarray, theta2: np.ndarray) -> dict:
-        return {
-            "cost_slope": float(theta1[0]),
-            "replacement_cost": float(theta1[1]),
-            "increments": [float(v) for v in theta2],
-        }
+    build_kernel = EngineFamily.build_kernel
 
 
 @dataclass(frozen=True)
@@ -374,6 +339,11 @@ class SimConfig:
     discount: float = 0.95
 
     def __post_init__(self):
+        # bool is a subclass of int, so True would pass for a size.
+        for name in ("n_histories", "horizon", "seed", "z0", "grid_resolution"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise InvalidParams(f"{name} must be an integer, got {value!r}")
         if self.n_histories < 1 or self.horizon < 1:
             raise InvalidParams("n_histories and horizon must be at least 1")
         if isinstance(self.x0, str):

@@ -9,8 +9,8 @@ resulting pseudo-likelihood in the reward parameters by BHHH steps on the
 per-decision scores, which are assembled from the solved Q table and its
 parameter derivative.
 
-A family object supplies the parameterization (see spe.engine for the two
-shipped families):
+A family object supplies the parameterization (spe.engine.EngineFamily,
+with two hidden conditions or one, is the shipped one):
 
 - n_states, n_obs, n_actions and discount;
 - build_kernel(theta2), the joint kernel (a, z, s, z', s');
@@ -35,6 +35,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .bellman import BellmanSolver, QTable
+from .engine import N_INCREMENTS, EngineFamily
 from .errors import InvalidParams, NonFiniteObjective
 from .grid import BeliefGrid
 from .model import Belief, History
@@ -369,20 +370,20 @@ def estimate(histories, family, config: EstimatorConfig | None = None) -> Estima
     return _fit_rewards(family, stage1, config, start)
 
 
-def empirical_increments(data: DatasetBlocks, n_bins: int, n_increments: int = 4) -> np.ndarray:
+def empirical_increments(data: DatasetBlocks, n_bins: int) -> np.ndarray:
     """Empirical usage-increment frequencies over keep decisions.
 
     Steps whose start bin could censor the increment against the top of the
     range are excluded so the counts match the uncapped distribution.
     """
     z = data.obs[:, :-1]
-    deltas = (data.obs[:, 1:] - z)[data.steps & (data.acts == 0) & (z <= n_bins - 1 - n_increments)]
-    if deltas.size and (deltas.min() < 0 or deltas.max() >= n_increments):
+    deltas = (data.obs[:, 1:] - z)[data.steps & (data.acts == 0) & (z <= n_bins - 1 - N_INCREMENTS)]
+    if deltas.size and (deltas.min() < 0 or deltas.max() >= N_INCREMENTS):
         raise ValueError("usage decreased or jumped beyond the increment range")
-    counts = np.bincount(deltas, minlength=n_increments)
+    counts = np.bincount(deltas, minlength=N_INCREMENTS)
     total = counts.sum()
     if total == 0:
-        return np.full(n_increments, 1.0 / n_increments)
+        return np.full(N_INCREMENTS, 1.0 / N_INCREMENTS)
     return counts / total
 
 
@@ -392,29 +393,28 @@ def fit_mdp_baseline(
     n_mileage_bins: int = 120,
     discount: float = 0.95,
 ) -> EstimateReport:
-    """Fit the fully observed baseline on the same dataset.
+    """Fit the fully observed baseline, EngineFamily(n_conditions=1), on the same dataset.
 
-    The increment distribution is the closed-form frequency estimate (the
-    observation term is separable); the reward parameters then go through the
-    same policy-gradient stage as the hidden-state model.
+    The increments are the closed-form frequency estimate (the observation
+    term is separable), so config.theta2_init is refused; the reward
+    parameters go through the same policy-gradient stage as the hidden-state model.
     """
-    from .engine import MdpEngineFamily
-
     _require_decisions(histories)
     if config is None:
         config = EstimatorConfig()
-    family = MdpEngineFamily(n_mileage_bins, discount)
+    if config.theta2_init is not None:
+        raise ValueError("theta2_init does not apply: the baseline's increments have a closed form")
+    family = EngineFamily(n_mileage_bins, discount, n_conditions=1)
     start = time.perf_counter()
     # Histories carry two-state initial beliefs; the baseline ignores them.
     flat = [History(Belief(np.ones(1)), h.obs, h.acts) for h in histories]
     data = DatasetBlocks.from_histories(flat, family)
     theta2 = empirical_increments(data, n_mileage_bins)
     filtered = filter_dataset(family.build_model(family.default_theta1(), theta2), data)
-    obs_ll = filtered.obs_term
     stage1 = Stage1Result(
         theta2=theta2,
-        obs_loglik=obs_ll,
-        trace=[obs_ll],
+        obs_loglik=filtered.obs_term,
+        trace=[filtered.obs_term],
         converged=True,
         n_evals=1,
         message="closed form: empirical increment frequencies",

@@ -236,6 +236,23 @@ def test_estimate_mdp_family(tiny_dataset, tmp_path):
     assert payload["report"]["diagnostics"]["baseline"] == "fully observed"
 
 
+@pytest.mark.parametrize("subcommand", ["estimate", "sensitivity"])
+def test_too_few_usage_bins_are_an_error(tiny_dataset, tmp_path, capsys, subcommand):
+    # --bins 0 used to end in an IndexError traceback from the kernel's block table
+    out = tmp_path / "out"
+    assert run([subcommand, "--data", tiny_dataset, "--bins", "0", "--out", out]) == 1
+    assert not out.exists()
+    assert capsys.readouterr().err.startswith("error: need at least 4 usage bins")
+
+
+def test_mdp_family_refuses_a_dynamics_start(tiny_dataset, tmp_path, capsys):
+    # the baseline's increments have a closed form; theta2_init used to be ignored
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"theta2_init": [0.1, 0.2, 0.3, 0.4]}))
+    assert run(["estimate", "--data", tiny_dataset, "--family", "mdp", "--config", cfg]) == 1
+    assert capsys.readouterr().err.startswith("error: theta2_init does not apply")
+
+
 def test_estimate_missing_data_file(tmp_path):
     assert run(["estimate", "--data", tmp_path / "nope.jsonl"]) == 2
 

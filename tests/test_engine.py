@@ -13,7 +13,6 @@ from spe import (
     EngineFamily,
     History,
     InvalidParams,
-    MdpEngineFamily,
     ParseError,
     SchemaError,
     SimConfig,
@@ -29,7 +28,11 @@ from spe import (
     simulate,
 )
 from spe.bellman import BellmanSolver
-from support import expected_reward
+import spe
+from support import call_sites, expected_reward
+
+# One family at two sizes; the ids keep the names the two sizes had as two classes.
+BOTH_SIZES = pytest.mark.parametrize("n_conditions", [2, 1], ids=["EngineFamily", "MdpEngineFamily"])
 
 
 def test_reference_values_frozen(ref_params):
@@ -285,6 +288,17 @@ def test_simulate_config_validation():
         SimConfig(10, 10, seed=1, x0=(0.5, 0.5 + 5e-10))
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("n_histories", 2.5), ("n_histories", True), ("horizon", 3.0), ("seed", "1"), ("z0", False),
+     ("grid_resolution", 11.0)],
+)
+def test_simulate_config_needs_integer_sizes(field, value):
+    # 2.5 histories used to end in numpy's TypeError and True to simulate one history
+    with pytest.raises(InvalidParams, match=f"{field} must be an integer"):
+        SimConfig(**{"n_histories": 3, "horizon": 5, "seed": 1, field: value})
+
+
 def test_dataset_round_trip(tmp_path, ref_params):
     res = simulate(ref_params, SimConfig(4, 12, seed=9))
     path = tmp_path / "fleet.jsonl"
@@ -412,8 +426,9 @@ def test_engine_solver_bytes_frozen(ref_params, discount, data_sha):
     ]
 
 
-@pytest.mark.parametrize("family", [EngineFamily(), MdpEngineFamily()], ids=type)
-def test_reward_tensor_is_affine_in_theta1(family):
+@BOTH_SIZES
+def test_reward_tensor_is_affine_in_theta1(n_conditions):
+    family = EngineFamily(n_conditions=n_conditions)
     # stage 2 reads the reward gradient off r(e_p) - r(0), which is exact
     # only for a reward table affine in theta1
     rng = np.random.default_rng(3)
@@ -427,8 +442,9 @@ def test_reward_tensor_is_affine_in_theta1(family):
     for wrong in (dim - 1, dim + 1):
         with pytest.raises(InvalidParams):
             family.reward_tensor(np.zeros(wrong))
-@pytest.mark.parametrize("family", [EngineFamily(), MdpEngineFamily()], ids=type)
-def test_dynamics_of_the_wrong_length_are_refused(family):
+@BOTH_SIZES
+def test_dynamics_of_the_wrong_length_are_refused(n_conditions):
+    family = EngineFamily(n_conditions=n_conditions)
     # like a wrong-length theta1, a wrong-length theta2 used to reach numpy and
     # end in its reshape or broadcast error
     dim = family.default_theta2().size
@@ -437,8 +453,9 @@ def test_dynamics_of_the_wrong_length_are_refused(family):
             family.build_model(family.default_theta1(), np.full(wrong, 1.0 / wrong))
 
 
-@pytest.mark.parametrize("family", [EngineFamily(), MdpEngineFamily()], ids=type)
-def test_chart_points_of_the_wrong_length_are_refused(family):
+@BOTH_SIZES
+def test_chart_points_of_the_wrong_length_are_refused(n_conditions):
+    family = EngineFamily(n_conditions=n_conditions)
     # a wrong-length chart point used to be cut or padded into some theta2,
     # and a wrong-length theta2 to end in numpy's reshape error
     dim = family.default_theta2().size
@@ -454,11 +471,11 @@ def test_chart_points_of_the_wrong_length_are_refused(family):
 
 
 @pytest.mark.parametrize("n_bins", [7, 120])
-@pytest.mark.parametrize("family_type", [EngineFamily, MdpEngineFamily], ids=lambda t: t.__name__)
-def test_kernel_blocks_match_build_kernel_and_central_differences(family_type, n_bins):
+@BOTH_SIZES
+def test_kernel_blocks_match_build_kernel_and_central_differences(n_conditions, n_bins):
     # seven usage bins, so the increments that saturate at the top bin are
     # covered from most bins; 120 is the default model
-    family = family_type(n_bins)
+    family = EngineFamily(n_bins, n_conditions=n_conditions)
 
     def kernel_at(u):
         return family.build_kernel(family.theta2_from_unconstrained(u))
@@ -484,7 +501,7 @@ def test_kernel_blocks_match_build_kernel_and_central_differences(family_type, n
 
 
 def test_mdp_family_shapes():
-    family = MdpEngineFamily()
+    family = EngineFamily(n_conditions=1)
     assert family.n_states == 1
     model = family.build_model(family.default_theta1(), family.default_theta2())
     assert model.n_states == 1 and model.n_actions == 2
@@ -495,7 +512,7 @@ def test_mdp_kernel_is_hidden_kernel_with_equal_rows():
     # with both increment rows equal, usage no longer depends on the hidden
     # condition: summing out the next condition leaves the baseline kernel
     q = np.array([0.1, 0.5, 0.3, 0.1])
-    mdp = MdpEngineFamily(30).build_kernel(q)
+    mdp = EngineFamily(30, n_conditions=1).build_kernel(q)
     hidden = EngineFamily(30).build_kernel(np.concatenate([[0.9, 0.7], q, q]))
     marginal = hidden.sum(axis=4)
     for s in range(2):
@@ -509,6 +526,58 @@ def test_describe_is_json_ready(ref_params):
     loaded = json.loads(text)
     assert loaded["replacement_cost"] == pytest.approx(9.243)
     assert loaded["persistence_bad"] == pytest.approx(0.988)
+    # the one-condition family labels its single slope and increment row without a suffix
+    mdp = EngineFamily(n_conditions=1)
+    loaded = json.loads(json.dumps(mdp.describe(np.array([0.3, 9.0]), ref_params.increments[0])))
+    assert list(loaded) == ["cost_slope", "replacement_cost", "increments"]
+    assert loaded["increments"] == pytest.approx(ref_params.increments[0].tolist())
+
+
+@pytest.mark.parametrize(
+    "n_conditions, digests",
+    [
+        (2, (
+            "1331230461a63122450f8db8a7e56325eb4720f61bfb90b86ed703dbb3d195e7",
+            "ca277ac9cd29a9a1ea620cc6347390e1f06bc8233e0a66e3feaf7d72d25105e2",
+            "1f8a7eb9e3430e14a06557d2173d3f9f91355e30f7a1cc84277a28c9645eb5c0",
+            "7ec1c6c3a9ae7542b2a70eedb77daaeb9948502c2b7594e78c17c0aba8f3ca0a",
+        )),
+        (1, (
+            "46e051d48eced750df15df2741a6a84c7cd6bf7f4427d44da69dd7a0622a318c",
+            "ca277ac9cd29a9a1ea620cc6347390e1f06bc8233e0a66e3feaf7d72d25105e2",
+            "eb1133ce5c5f2ce3cfa1baede5090729d9754e4fe18ca9036e141d9cbe8a0166",
+            "72b64d4733bb91d539194a9ca852e13ef17b56a6e2100a9aa902578824eb05ab",
+        )),
+    ],
+)
+def test_kernel_and_blocks_bytes_frozen(n_conditions, digests):
+    # every stage-1 pass filters on kernel_blocks and every model is built by
+    # build_kernel; digests of (kernel, block_of, blocks, d_blocks) at a fixed u
+    family = EngineFamily(n_conditions=n_conditions)
+    u = np.linspace(-1.0, 1.0, family.theta2_to_unconstrained(family.default_theta2()).size)
+    arrays = (family.build_kernel(family.theta2_from_unconstrained(u)), *family.kernel_blocks(u))
+    assert tuple(hashlib.sha256(a.tobytes()).hexdigest() for a in arrays) == digests
+
+
+def test_family_refuses_sizes_it_cannot_build():
+    # fewer usage bins than increments used to end in an IndexError or in a
+    # kernel that EngineParams refuses
+    for bins in (0, 2, 3):
+        with pytest.raises(InvalidParams, match="usage bins"):
+            EngineFamily(bins)
+    for n_conditions in (0, 3, True):
+        with pytest.raises(InvalidParams, match="n_conditions"):
+            EngineFamily(n_conditions=n_conditions)
+    # EngineParams hold two conditions
+    with pytest.raises(InvalidParams, match="two-condition"):
+        EngineFamily(n_conditions=1).params_to_theta(reference_params())
+
+
+def test_the_package_builds_one_family_class():
+    # the one-condition baseline is EngineFamily(n_conditions=1); the
+    # MdpEngineFamily subclass is kept only for the traced benchmark
+    assert call_sites(("MdpEngineFamily",)) == []
+    assert "MdpEngineFamily" not in spe.__all__
 
 
 def test_action_frequencies_chi_squared(ref_params):

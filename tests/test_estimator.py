@@ -10,7 +10,6 @@ from spe import (
     EngineFamily,
     EstimatorConfig,
     History,
-    MdpEngineFamily,
     InvalidParams,
     PomdpModel,
     SimConfig,
@@ -70,7 +69,8 @@ def frozen(family, histories):
 
 def increments(*histories):
     """empirical_increments of observable-engine histories."""
-    return empirical_increments(DatasetBlocks.from_histories(list(histories), MdpEngineFamily()), n_bins=120)
+    family = EngineFamily(n_conditions=1)
+    return empirical_increments(DatasetBlocks.from_histories(list(histories), family), n_bins=120)
 
 
 @pytest.fixture(scope="module")
@@ -390,6 +390,14 @@ def test_mdp_baseline_matches_pomdp_on_rank_one_dynamics(small_config):
     mdp = fit_mdp_baseline(sim.histories, small_config)
     gap = abs(pomdp.loglik.total - mdp.loglik.total) / abs(mdp.loglik.total)
     assert gap <= 5e-3
+
+
+def test_mdp_baseline_refuses_a_dynamics_start(small_fleet):
+    # its increments have a closed form; a theta2_init used to be ignored and
+    # stage 1 reported as converged
+    config = EstimatorConfig(theta2_init=(0.1, 0.2, 0.3, 0.4))
+    with pytest.raises(ValueError, match="theta2_init"):
+        fit_mdp_baseline(small_fleet, config)
 
 
 def test_config_validation():
