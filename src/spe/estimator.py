@@ -3,7 +3,8 @@
 Stage one maximizes the observation term of the likelihood over the dynamics
 parameters with a quasi-Newton method on an unconstrained reparameterization,
 refiltering beliefs at every trial point; each pass also returns the exact
-score of the observation term (the filter's recursive score). Stage two
+score of the observation term, by Fisher's identity from a forward filter
+pass and a reverse smoothing pass (likelihood.observation_score). Stage two
 freezes the filtered beliefs at the stage-one estimate and climbs the
 resulting pseudo-likelihood in the reward parameters by BHHH steps on the
 per-decision scores, which are assembled from the solved Q table and its
@@ -21,7 +22,9 @@ with two hidden conditions or one, is the shipped one):
   theta2_from_unconstrained;
 - kernel_blocks(u), the kernel at chart point u and its derivative in u
   as one block table (block_of, blocks, d_blocks) as in model.block_table,
-  with the zero block in row 0; stage one filters on it alone;
+  with the zero block in row 0; stage one filters on it alone. d_blocks
+  must vanish wherever blocks does: the score reads d log K =
+  d_blocks / blocks, and 0 where blocks is 0;
 - describe(theta1, theta2), the labelled estimate for the report.
 """
 from __future__ import annotations
@@ -179,11 +182,13 @@ def stage1_fit_theta2(
 
     Quasi-Newton (L-BFGS) on the unconstrained chart, started from
     config.theta2_init or the family default. Every trial point refilters
-    the whole dataset from each history's own initial belief, in one pass
-    that returns the objective and its exact gradient (observation_score on
-    the family's kernel_blocks, with no dense kernel). Vanished observation
-    probabilities are floored inside the search so the objective stays
-    finite; a floored step is a constant and adds nothing to the gradient.
+    the whole dataset from each history's own initial belief, in one
+    forward-backward pass that returns the objective and its exact gradient
+    (observation_score on the family's kernel_blocks, with no dense kernel).
+    Vanished observation probabilities are floored inside the search so the
+    objective stays finite; a floored step is a constant and adds nothing to
+    the gradient. A value or gradient that is still not finite raises
+    NonFiniteObjective rather than end the search as converged.
     burn_in drops the first steps of each history from the objective, for
     the initial-belief sweep. The dataset is laid out once, and the result
     carries its beliefs filtered at the estimate.
@@ -198,6 +203,8 @@ def stage1_fit_theta2(
 
     def negative_obs(u):
         value, score = observation_score(family.kernel_blocks(u), blocks, burn_in, penalize=True)
+        if not (np.isfinite(value) and np.all(np.isfinite(score))):
+            raise NonFiniteObjective(f"observation term {value!r} or its score not finite at u = {u}")
         return -value, -score
 
     trace: list[float] = []

@@ -8,7 +8,11 @@ the whole likelihood is a function of the model parameters only.
 A fit lays its histories out once, as one padded batch (DatasetBlocks), and
 filter_dataset returns their beliefs in the same layout (FilteredDataset):
 its observation term is stage one's, and its decision rows (ChoicePoints)
-are stage two's.
+are stage two's. Stage one's score in the dynamics parameters is Fisher's
+identity, the smoothed expectation of d log K over each step's hidden pair,
+evaluated by a forward filter pass and a reverse pass of reverse conditionals
+(Cappe, Moulines and Ryden 2005, ch. 3 and sec. 10.1.3), so its cost does not
+grow with the number of parameters.
 
 For estimation the beliefs are frozen at the dynamics estimate and only the
 choice term varies with the reward parameters; its gradient uses the score
@@ -103,22 +107,29 @@ def _scan(
 
     kernel_blocks = (block_of, blocks, d_blocks): a block table as in
     model.block_table, and d_blocks of the same row its derivative in
-    parameters u, or None; each step reads both through one row per history.
-    Padding steps read an identity block appended to the table, with a zero
-    derivative; their sigma is set to 1 (the identity step's is 1 only to an
-    ulp) and, like a floored step, they add 0 to the score and reset dx. x0,
-    when given, replaces every initial belief. beliefs and sigmas are None
-    unless store is set. With penalize=True a vanished observation
+    parameters u, or None. Padding steps read an identity block appended to
+    the table; their sigma is set to 1 (the identity step's is 1 only to an
+    ulp). x0, when given, replaces every initial belief. beliefs and sigmas
+    are None unless store is set. With penalize=True a vanished observation
     contributes log(SIGMA_FLOOR) and filtering continues from a uniform
     belief; otherwise it raises.
 
-    d_blocks makes the scan carry dx_t/du beside the belief and return the
-    score d obs_loglik/du (the recursive score of the filter); else the score
-    is None. With numer = x T and sigma = sum numer: d numer = dx T + x dT,
-    d sigma = sum d numer, dx' = (d numer - x' d sigma) / sigma and
-    d log sigma = d sigma / sigma. A floored step is a constant and restarts
-    from a constant belief, so it adds 0 to the score and resets dx. Initial
-    beliefs do not depend on u.
+    The forward pass keeps histories on the last axis and stores x_t,
+    numer_t = x_t K_t, sigma_t and the live steps. With d_blocks a reverse
+    pass returns the score d obs_loglik/du by Fisher's identity: the sum over
+    steps and hidden pairs (j, k) of W_t(j, k) d log K_t(j, k), where from
+    h_T = 0
+        W_t(j, k) = R_t(j, k) h_{t+1}(k) + c_t x_t(j) K_t(j, k) / sigma_t,
+        h_t(j) = sum_k W_t(j, k),  c_t = [t >= burn_in] - sum_k h_{t+1}(k),
+    and R_t(j, k) = x_t(j) K_t(j, k) / numer_t(k), 0 where numer_t(k) = 0, is
+    the reverse conditional. W_t is the smoothed law of the hidden pair less
+    its law given the observations up to burn_in, and h_t sums to 1 or to 0:
+    every carried quantity is bounded where a belief component vanishes, as
+    the scaled backward message, which grows like 1 / x_t(j), is not. A
+    floored or padding step breaks the chain (x_{t+1} is a constant there),
+    and its W_t and h_t are 0. d log K = d_blocks / blocks reads 0 where
+    blocks is 0, so d_blocks must vanish there. W is summed per block-table
+    row before it meets d log K, so the cost does not grow with n_u.
     """
     if burn_in > 0 and np.any(data.horizons <= burn_in):
         raise InvalidParams(
@@ -127,59 +138,45 @@ def _scan(
     block_of, blocks, d_blocks = kernel_blocks
     b, horizon = data.acts.shape
     n_s = data.x0.shape[1]
-    steps = data.steps
-    padded = not steps.all()
-    step_blocks = np.where(
-        steps, block_of[data.acts, data.obs[:, :-1], data.obs[:, 1:]], blocks.shape[0]
-    )                                                                 # (b, T)
-    blocks = np.concatenate([blocks, np.eye(n_s)[None]])
-    x = (data.x0 if x0 is None else np.broadcast_to(x0, data.x0.shape)).copy()
-    beliefs = np.empty((b, horizon + 1, n_s)) if store else None
-    sigmas = np.empty((b, horizon)) if store else None
-    if store:
-        beliefs[:, 0, :] = x
-    score = None
-    if d_blocks is not None:
-        # The tangent keeps histories on its last axis, (s, n_u, b), so each
-        # operation runs along the batch and not along the short state axes.
-        d_rows = np.zeros(d_blocks.shape[1:] + (d_blocks.shape[0] + 1,))  # (s, s', n_u, rows)
-        d_rows[..., :-1] = np.moveaxis(d_blocks, 0, -1)
-        score = np.zeros(d_blocks.shape[-1])
-        dx = np.zeros((n_s, score.size, b))
-    total = 0.0
+    obs, steps = data.obs.T, data.steps.T                               # (T + 1, b), (T, b)
+    rows = np.where(steps, block_of[data.acts.T, obs[:-1], obs[1:]], blocks.shape[0])
+    table = np.concatenate([blocks, np.eye(n_s)[None]])
+    trans = np.take(np.moveaxis(table, 0, -1), rows, axis=-1)           # (s, s', T, b)
+    xs, numer = np.empty((n_s, horizon + 1, b)), np.empty((n_s, horizon, b))
+    sigmas, live = np.empty((horizon, b)), np.empty((horizon, b), dtype=bool)
+    xs[:, 0] = (data.x0 if x0 is None else np.broadcast_to(x0, data.x0.shape)).T
     for t in range(horizon):
-        trans = blocks[step_blocks[:, t]]                            # (b, s, s')
-        numer = np.einsum("bs,bst->bt", x, trans)
-        if score is not None:
-            d_trans = np.take(d_rows, step_blocks[:, t], axis=-1)   # (s, s', n_u, b)
-            d_numer = np.einsum(
-                "jub,jkb->kub", dx, np.ascontiguousarray(trans.transpose(1, 2, 0))
-            ) + np.einsum("jb,jkub->kub", np.ascontiguousarray(x.T), d_trans)
-        x, sig, live = bayes_posterior(numer)
-        if not penalize and not np.all(live):
-            bad = int(np.flatnonzero(~live)[0])
+        np.einsum("jb,jkb->kb", xs[:, t], trans[:, :, t], out=numer[:, t])
+        x, sigmas[t], live[t] = bayes_posterior(numer[:, t].T)
+        if not penalize and not np.all(live[t]):
+            bad = int(np.flatnonzero(~live[t])[0])
             raise ZeroObservationProbability(
                 f"history {bad}: observation z={int(data.obs[bad, t + 1])} has "
                 f"probability 0 at step {t}",
                 step=t,
             )
-        if padded:
-            sig = np.where(steps[:, t], sig, 1.0)
-            live = live & steps[:, t]
-        if t >= burn_in:
-            total += float(np.log(sig).sum())
-        if score is not None:
-            if not np.all(live):
-                d_numer[:, :, ~live] = 0.0
-            d_sig = d_numer.sum(axis=0)                               # (n_u, b)
-            inv_sig = 1.0 / sig
-            dx = (d_numer - x.T[:, None, :] * d_sig) * inv_sig
-            if t >= burn_in:
-                score += d_sig @ inv_sig
-        if store:
-            sigmas[:, t] = sig
-            beliefs[:, t + 1, :] = x
-    return total, beliefs, sigmas, score
+        xs[:, t + 1] = x.T
+    sigmas[~steps] = 1.0
+    live &= steps
+    total = float(np.log(sigmas[burn_in:]).sum())
+    score = None
+    if d_blocks is not None:
+        xk = np.multiply(trans, xs[:, None, :-1], out=trans)             # x_t(j) K_t(j, k)
+        w = xk / np.where((numer > 0.0) & live, numer, np.inf)            # R_t, 0 on dead steps
+        xk *= live / sigmas                                               # two-slice filter law
+        h = np.zeros((n_s, b))
+        for t in range(horizon - 1, -1, -1):
+            c = float(t >= burn_in) - h.sum(axis=0)
+            w[:, :, t] *= h
+            w[:, :, t] += c * xk[:, :, t]                                 # W_t
+            h = w[:, :, t].sum(axis=1)
+        flat, k_u = rows.ravel(), blocks[..., None]
+        per_row = [np.bincount(flat, w_jk, table.shape[0])[:-1] for w_jk in w.reshape(n_s * n_s, -1)]
+        d_log = np.divide(d_blocks, k_u, out=np.zeros_like(d_blocks), where=k_u > 0.0)
+        score = np.einsum("qr,rqu->u", per_row, d_log.reshape(k_u.shape[0], n_s * n_s, -1))
+    if not store:
+        return total, None, None, score
+    return total, np.ascontiguousarray(xs.transpose(2, 1, 0)), np.ascontiguousarray(sigmas.T), score
 
 
 def filter_dataset(model: PomdpModel, data: DatasetBlocks) -> FilteredDataset:
@@ -212,12 +209,13 @@ def observation_score(
     penalize: bool = False,
     x0_override: np.ndarray | None = None,
 ):
-    """observation_loglik and its exact gradient, from one filter pass.
+    """observation_loglik and its exact gradient, from one forward-backward pass.
 
     kernel_blocks = (block_of, blocks, d_blocks) is the kernel and its
     derivative in the parameters u as one block table, as a family's
-    kernel_blocks returns it. Returns (value, score) with score of shape
-    (n_u,), or None when d_blocks is None.
+    kernel_blocks returns it; d_blocks must vanish wherever blocks do.
+    Returns (value, score) with score of shape (n_u,), or None when d_blocks
+    is None, in which case only the forward pass runs.
     """
     total, _, _, score = _scan(kernel_blocks, blocks, burn_in, penalize, False, x0_override)
     return total, score

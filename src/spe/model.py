@@ -190,12 +190,12 @@ def bayes_posterior(numer: np.ndarray):
     n = numer.shape[-1]
     sig = sum(numer[..., j] for j in range(n))
     live = sig >= SIGMA_FLOOR
-    if np.all(live):
+    if live.all():
         x = numer / sig[..., None]
     else:
         sig = np.where(live, sig, SIGMA_FLOOR)
         x = np.where(live[..., None], numer / sig[..., None], 1.0 / n)
-    x = np.maximum(x, 0.0)
+    np.maximum(x, 0.0, out=x)
     x /= sum(x[..., j] for j in range(n))[..., None]
     return x, sig, live
 

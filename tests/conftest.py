@@ -31,3 +31,9 @@ def ref_params():
 @pytest.fixture(scope="session")
 def engine_model(ref_params):
     return spe.build_engine_model(ref_params, 0.95)
+
+
+@pytest.fixture(scope="session")
+def fleet6(ref_params):
+    """The seed-6 fleet (500 x 100): its default-start stage-1 search tries |u| near 120."""
+    return spe.simulate(ref_params, spe.SimConfig(500, 100, seed=6)).histories

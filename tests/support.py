@@ -8,6 +8,7 @@ import numpy as np
 
 import spe
 from spe import EULER_GAMMA, Belief, InvalidParams, PomdpModel, ZeroObservationProbability, lambda_update
+from spe.model import bayes_posterior
 
 
 def random_kernel(rng: np.random.Generator, n_states: int, n_obs: int, n_actions: int) -> np.ndarray:
@@ -121,3 +122,32 @@ def call_sites(names):
             and (ast.unparse(node.func) in names or getattr(node.func, "attr", None) in names)
         ]
     return sorted(calls)
+
+
+def forward_tangent_score(kernel_blocks, data, burn_in: int = 0) -> np.ndarray:
+    """Score of the penalized observation term by the filter's forward tangent.
+
+    The oracle for observation_score: dx_t/du rides beside the belief. With
+    numer = x K and sigma = sum numer, d numer = dx K + x dK, d sigma = sum
+    d numer, dx' = (d numer - x' d sigma) / sigma and d log sigma =
+    d sigma / sigma. Floored and padding steps add 0 and reset dx to 0.
+    """
+    block_of, blocks, d_blocks = kernel_blocks
+    steps = data.steps
+    rows = np.where(steps, block_of[data.acts, data.obs[:, :-1], data.obs[:, 1:]], blocks.shape[0])
+    blocks = np.concatenate([blocks, np.eye(blocks.shape[1])[None]])
+    d_blocks = np.concatenate([d_blocks, np.zeros((1,) + d_blocks.shape[1:])])
+    x = data.x0.copy()
+    dx = np.zeros(x.shape + d_blocks.shape[-1:])                          # (b, s, n_u)
+    score = np.zeros(d_blocks.shape[-1])
+    for t in range(data.acts.shape[1]):
+        trans, d_trans = blocks[rows[:, t]], d_blocks[rows[:, t]]
+        d_numer = np.einsum("bju,bjk->bku", dx, trans) + np.einsum("bj,bjku->bku", x, d_trans)
+        x, sig, live = bayes_posterior(np.einsum("bj,bjk->bk", x, trans))
+        live &= steps[:, t]
+        d_numer[~live] = 0.0
+        d_sig = d_numer.sum(axis=1)
+        dx = (d_numer - x[:, :, None] * d_sig[:, None, :]) / sig[:, None, None]
+        if t >= burn_in:
+            score += (d_sig / sig[:, None]).sum(axis=0)
+    return score

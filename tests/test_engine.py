@@ -500,6 +500,22 @@ def test_kernel_blocks_match_build_kernel_and_central_differences(n_conditions, 
         np.testing.assert_allclose(dense[..., j], fd, atol=1e-9)
 
 
+@pytest.mark.parametrize("scale", [1.0, 120.0], ids=["random", "saturated"])
+@BOTH_SIZES
+def test_kernel_blocks_derivative_vanishes_where_the_blocks_do(n_conditions, scale):
+    # the stage-1 score reads d log K = d_blocks / blocks, and 0 where a block
+    # entry is 0; at |u| near 120 the persistences round to 1 and some stay
+    # entries to 0, as on the search's first trial points
+    family = EngineFamily(n_conditions=n_conditions)
+    rng = np.random.default_rng(12)
+    n_u = family.theta2_to_unconstrained(family.default_theta2()).size
+    for _ in range(5):
+        u = scale * rng.choice([-1.0, 1.0], n_u) * rng.uniform(0.9, 1.0, n_u)
+        _, blocks, d_blocks = family.kernel_blocks(u)
+        assert np.all(np.isfinite(d_blocks))
+        assert not d_blocks[blocks == 0.0].any()
+
+
 def test_mdp_family_shapes():
     family = EngineFamily(n_conditions=1)
     assert family.n_states == 1

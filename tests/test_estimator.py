@@ -11,6 +11,7 @@ from spe import (
     EstimatorConfig,
     History,
     InvalidParams,
+    NonFiniteObjective,
     PomdpModel,
     SimConfig,
     empirical_increments,
@@ -28,7 +29,8 @@ from spe import (
 )
 from spe import estimator, sensitivity
 from spe.bellman import BellmanSolver
-from spe.likelihood import DatasetBlocks
+from spe.likelihood import DatasetBlocks, observation_score
+from support import forward_tangent_score
 
 
 class TwoButtonFamily:
@@ -146,6 +148,74 @@ def test_stage1_objective_builds_no_dense_kernel(small_fleet, small_config, monk
     assert s1.n_evals >= 2
     assert inside == [0]
     assert len(builds) >= 1
+
+
+class _RecordingFamily(EngineFamily):
+    """EngineFamily that records every chart point the search evaluates."""
+
+    def __init__(self):
+        super().__init__()
+        self.trials = []
+
+    def kernel_blocks(self, u):
+        self.trials.append(np.array(u))
+        return super().kernel_blocks(u)
+
+
+def _rebased(histories, x0):
+    return [History(Belief(np.array(x0)), h.obs, h.acts) for h in histories]
+
+
+@pytest.fixture(scope="module")
+def fleet6_fits(fleet6):
+    """Stage 1 at burn-in 8 on the seed-6 fleet rebased to x0, from the default start."""
+    fits = {}
+    for x0 in ((0.1, 0.9), (0.0, 1.0)):
+        family = _RecordingFamily()
+        fit = stage1_fit_theta2(_rebased(fleet6, x0), family, EstimatorConfig(), burn_in=8)
+        fits[x0] = fit, family.trials
+    return fits
+
+
+def test_stage1_reaches_the_optimum_past_saturated_trial_points(fleet6, fleet6_fits):
+    # the first trial points reach |u| near 120, where a forward tangent of the
+    # filter overflowed and the search stopped, "converged", 4,628 nats short
+    fit, trials = fleet6_fits[(0.1, 0.9)]
+    assert max(np.abs(u).max() for u in trials) > 100.0
+    family = EngineFamily()
+    truth = family.params_to_theta(reference_params())[1]
+    from_truth = stage1_fit_theta2(
+        _rebased(fleet6, (0.1, 0.9)), family, EstimatorConfig(theta2_init=tuple(truth)), burn_in=8
+    )
+    assert fit.converged
+    assert fit.obs_loglik == pytest.approx(from_truth.obs_loglik, abs=1e-3)
+
+
+@pytest.mark.parametrize("x0", [(0.1, 0.9), (0.0, 1.0)])
+def test_stage1_score_is_finite_at_the_saturated_trial_point(fleet6, fleet6_fits, x0):
+    # the same score as the forward tangent wherever the tangent stays finite
+    _, trials = fleet6_fits[x0]
+    u = max(trials, key=lambda v: np.abs(v).max())
+    family = EngineFamily()
+    data = DatasetBlocks.from_histories(_rebased(fleet6, x0), family)
+    _, score = observation_score(family.kernel_blocks(u), data, burn_in=8, penalize=True)
+    assert np.all(np.isfinite(score))
+    with np.errstate(all="ignore"):
+        oracle = forward_tangent_score(family.kernel_blocks(u), data, burn_in=8)
+    finite = np.isfinite(oracle)
+    assert finite.any()
+    np.testing.assert_allclose(score[finite], oracle[finite], rtol=0, atol=1e-8 * np.abs(score).max())
+
+
+def test_stage1_refuses_a_non_finite_score(small_fleet, small_config):
+    class NanDerivative(EngineFamily):
+        def kernel_blocks(self, u):
+            block_of, blocks, d_blocks = super().kernel_blocks(u)
+            d_blocks[2, 0, 0, 0] = np.nan
+            return block_of, blocks, d_blocks
+
+    with pytest.raises(NonFiniteObjective):
+        stage1_fit_theta2(small_fleet, NanDerivative(), small_config)
 
 
 @pytest.mark.parametrize(

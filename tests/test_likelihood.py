@@ -9,9 +9,12 @@ import spe
 from spe import (
     Belief,
     BeliefGrid,
+    EngineFamily,
     History,
     InvalidParams,
     PomdpModel,
+    SimConfig,
+    ZeroObservationProbability,
     ccp,
     filter_dataset,
     lambda_update,
@@ -19,14 +22,17 @@ from spe import (
     observation_loglik,
     observation_score,
     pseudo_log_likelihood,
+    reference_params,
     sigma,
+    simulate,
     solve,
 )
 from spe.likelihood import DatasetBlocks
-from spe.model import SIGMA_FLOOR
+from spe.model import SIGMA_FLOOR, block_table
 from support import (
     apply_lambda_M,
     call_sites,
+    forward_tangent_score,
     random_belief,
     random_model,
     sparse_random_model,
@@ -294,6 +300,67 @@ def test_floored_steps_add_nothing_to_the_score():
     restart = History(Belief(np.array([0.8, 0.2])), np.array([1, 0, 1, 1]), acts)
     fresh = History(Belief.uniform(2), np.array([0, 1, 1]), acts[:2])
     assert score_of(restart)[1][0] == pytest.approx(score_of(fresh)[1][0], rel=1e-14)
+
+
+def _assert_matches_the_oracle(kernel_blocks, data, burn_in):
+    value, score = observation_score(kernel_blocks, data, burn_in, penalize=True)
+    oracle = forward_tangent_score(kernel_blocks, data, burn_in)
+    assert np.all(np.isfinite(score)) and np.abs(oracle).max() > 0.0
+    np.testing.assert_allclose(score, oracle, rtol=0, atol=1e-10 * np.abs(oracle).max())
+    return value
+
+
+@pytest.fixture(scope="module")
+def engine_histories(ref_params):
+    """Engine histories cut to horizons 10 to 30, one in eight with an impossible move.
+
+    Usage never rises by 7 bins in one step, so that move's step is floored.
+    """
+    hs = simulate(ref_params, SimConfig(40, 30, seed=9, grid_resolution=21)).histories
+    rng = np.random.default_rng(9)
+    cut = []
+    for i, h in enumerate(hs):
+        t = int(rng.integers(10, 31))
+        obs = h.obs[: t + 1].copy()
+        if i % 8 == 0:
+            obs[6] = obs[5] + 7
+        cut.append(History(h.x0, obs, h.acts[:t]))
+    return cut
+
+
+@pytest.mark.parametrize("burn_in", [0, 8])
+@pytest.mark.parametrize("n_conditions", [2, 1])
+def test_score_matches_the_forward_tangent_on_the_engine(engine_histories, n_conditions, burn_in):
+    family = EngineFamily(n_conditions=n_conditions)
+    hs = [
+        History(h.x0 if n_conditions == 2 else Belief(np.ones(1)), h.obs, h.acts)
+        for h in engine_histories
+    ]
+    data = DatasetBlocks.from_histories(hs, family)
+    assert len(set(data.horizons.tolist())) > 1
+    with pytest.raises(ZeroObservationProbability):
+        observation_loglik(family.build_kernel(family.default_theta2()), data)
+    rng = np.random.default_rng(20 + n_conditions)
+    u0 = family.theta2_to_unconstrained(family.default_theta2())
+    for _ in range(3):
+        u = u0 + 2.0 * rng.standard_normal(u0.size)
+        value = _assert_matches_the_oracle(family.kernel_blocks(u), data, burn_in)
+        kernel = family.build_kernel(family.theta2_from_unconstrained(u))
+        assert value == observation_loglik(kernel, data, burn_in, penalize=True)
+
+
+@pytest.mark.parametrize("burn_in", [0, 3])
+def test_score_matches_the_forward_tangent_on_a_random_block_table(burn_in):
+    # a random sparse kernel, with one reachable block zeroed so that its
+    # moves are floored; the derivative blocks share the blocks' support
+    m = sparse_random_model(seed=82, n_states=3)
+    rng = np.random.default_rng(83)
+    hs = [simulate_crude(m, rng, t) for t in (4, 9, 6, 12, 12)]
+    data = DatasetBlocks.from_histories(hs, m)
+    block_of, blocks = block_table(m.kernel)
+    blocks[block_of[hs[0].acts[1], hs[0].obs[1], hs[0].obs[2]]] = 0.0
+    d_blocks = blocks[..., None] * rng.standard_normal(blocks.shape + (4,))
+    _assert_matches_the_oracle((block_of, blocks, d_blocks), data, burn_in)
 
 
 @pytest.mark.parametrize("horizons", [(2, 5, 2, 7), (0, 1, 7, 100)], ids=["2-5-2-7", "0-1-7-100"])

@@ -257,6 +257,26 @@ def test_sweep_csv_and_shapes(ref_params):
     assert float(lines[1].split(",")[1]) == pytest.approx(res.spreads[0])
 
 
+def _burn_in_8_spread(histories) -> float:
+    # the acceptance sweep: the 11 default candidates, each fit chained from the last
+    return x0_sweep_estimate(histories, EngineFamily(), m_values=(8,)).spreads[0]
+
+
+def test_sweep_holds_where_the_first_fit_saturates(fleet6):
+    # the first fit's trial points reach |u| near 120, where a score carried as
+    # the scaled backward message, or as the adjoint of the beliefs, overflows
+    assert _burn_in_8_spread(fleet6) <= 0.1
+
+
+@pytest.mark.slow
+def test_sweep_holds_on_every_fleet_seed(ref_params):
+    spreads = {
+        seed: _burn_in_8_spread(simulate(ref_params, SimConfig(500, 100, seed=seed)).histories)
+        for seed in range(41)
+    }
+    assert {seed: v for seed, v in spreads.items() if not v <= 0.1} == {}
+
+
 def test_sweep_refit_rewards_path(ref_params):
     sim = simulate(ref_params, SimConfig(10, 20, seed=8))
     cfg = EstimatorConfig(
