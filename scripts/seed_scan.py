@@ -14,9 +14,11 @@ import time
 import numpy as np
 
 from spe import (
+    DatasetBlocks,
     EngineFamily,
     EstimatorConfig,
     SimConfig,
+    filter_dataset,
     reference_params,
     simulate,
     stage1_fit_theta2,
@@ -31,12 +33,14 @@ def scan_one(seed: int, x0, n: int, horizon: int) -> dict:
     t0 = time.perf_counter()
     sim = simulate(ref, SimConfig(n, horizon, seed, x0=x0))
     n_repl = int(sum(int(np.sum(h.acts)) for h in sim.histories))
-    s1 = stage1_fit_theta2(sim.histories, family, EstimatorConfig())
+    data = DatasetBlocks.from_histories(sim.histories, family)
+    s1 = stage1_fit_theta2(data, family, EstimatorConfig())
+    filtered = filter_dataset(family.build_model(family.default_theta1(), s1.theta2), data)
     dev2 = float(np.max(np.abs(s1.theta2 - truth2)))
     cfg = EstimatorConfig(
         grad_norm_tol=1e-6, max_stage2_iters=600, theta1_init=tuple(truth1)
     )
-    s2 = stage2_policy_gradient(family, s1.theta2, cfg, s1.filtered)
+    s2 = stage2_policy_gradient(family, s1.theta2, cfg, filtered)
     scale = np.array([1.0, 1.0, 0.1])
     dev1 = np.abs(s2.theta1 - truth1) * scale
     return {

@@ -245,7 +245,17 @@ def cmd_sensitivity(args) -> int:
             spreads=result.spreads,
             n_candidates=int(result.candidates.shape[0]),
             config=dataclasses.asdict(config),
+            theta2_by_m={m: rows.tolist() for m, rows in result.theta2_by_m.items()},
+            converged=result.converged_by_m,
         )
+    unconverged = sum(not c for flags in result.converged_by_m.values() for c in flags)
+    if unconverged:
+        # The outputs are already on disk; flag the run and fail the exit code.
+        print(
+            f"warning: stage 1 stopped before tolerance in {unconverged} of the sweep's fits",
+            file=sys.stderr,
+        )
+        return 1
     return 0
 
 

@@ -1,12 +1,12 @@
 """Two-stage maximum likelihood estimation.
 
-Stage one maximizes the observation term of the likelihood over the dynamics
-parameters with a quasi-Newton method on an unconstrained reparameterization,
-refiltering beliefs at every trial point; each pass also returns the exact
-score of the observation term, by Fisher's identity from a forward filter
-pass and a reverse smoothing pass (likelihood.observation_score). Stage two
-freezes the filtered beliefs at the stage-one estimate and climbs the
-resulting pseudo-likelihood in the reward parameters by BHHH steps on the
+Stage one maximizes the observation term of a dataset laid out once, with
+each history's initial belief as the layout's x0, over the dynamics
+parameters by a quasi-Newton method on an unconstrained chart; each pass
+refilters the layout and returns the exact score by Fisher's identity
+(likelihood.observation_score). It returns the estimate alone; the caller
+filters the layout there once. Stage two freezes those beliefs and climbs
+the resulting pseudo-likelihood in the reward parameters by BHHH steps on the
 per-decision scores, which are assembled from the solved Q table and its
 parameter derivative.
 
@@ -116,7 +116,6 @@ class Stage1Result:
     converged: bool
     n_evals: int
     message: str
-    filtered: FilteredDataset    # frozen beliefs at theta2
 
 
 @dataclass(eq=False)
@@ -146,6 +145,7 @@ class EstimateReport:
     stage1: Stage1Result
     stage2: Stage2Result
     config: EstimatorConfig
+    filtered: FilteredDataset    # the dataset's beliefs at theta2, stage two's input
     diagnostics: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
@@ -176,22 +176,21 @@ class EstimateReport:
 
 
 def stage1_fit_theta2(
-    histories, family, config: EstimatorConfig, burn_in: int = 0
+    data: DatasetBlocks, family, config: EstimatorConfig, burn_in: int = 0
 ) -> Stage1Result:
-    """Maximize the observation term over the dynamics parameters.
+    """Maximize the observation term of a laid-out dataset over the dynamics parameters.
 
     Quasi-Newton (L-BFGS) on the unconstrained chart, started from
     config.theta2_init or the family default. Every trial point refilters
-    the whole dataset from each history's own initial belief, in one
-    forward-backward pass that returns the objective and its exact gradient
-    (observation_score on the family's kernel_blocks, with no dense kernel).
-    Vanished observation probabilities are floored inside the search so the
-    objective stays finite; a floored step is a constant and adds nothing to
-    the gradient. A value or gradient that is still not finite raises
-    NonFiniteObjective rather than end the search as converged.
-    burn_in drops the first steps of each history from the objective, for
-    the initial-belief sweep. The dataset is laid out once, and the result
-    carries its beliefs filtered at the estimate.
+    the whole layout from its x0, in one forward-backward pass that returns
+    the objective and its exact gradient (observation_score on the family's
+    kernel_blocks, with no dense kernel). Vanished observation probabilities
+    are floored inside the search so the objective stays finite; a floored
+    step is a constant and adds nothing to the gradient. A value or gradient
+    that is still not finite raises NonFiniteObjective rather than end the
+    search as converged. burn_in drops the first steps of each history from
+    the objective, for the initial-belief sweep. Nothing is filtered at the
+    estimate: a caller that needs the beliefs runs filter_dataset there.
     """
     theta2_0 = (
         np.asarray(config.theta2_init, dtype=np.float64)
@@ -199,10 +198,9 @@ def stage1_fit_theta2(
         else family.default_theta2()
     )
     family.build_model(family.default_theta1(), theta2_0)   # refuses a start that is no kernel
-    blocks = DatasetBlocks.from_histories(histories, family)
 
     def negative_obs(u):
-        value, score = observation_score(family.kernel_blocks(u), blocks, burn_in, penalize=True)
+        value, score = observation_score(family.kernel_blocks(u), data, burn_in, penalize=True)
         if not (np.isfinite(value) and np.all(np.isfinite(score))):
             raise NonFiniteObjective(f"observation term {value!r} or its score not finite at u = {u}")
         return -value, -score
@@ -220,15 +218,13 @@ def stage1_fit_theta2(
         callback=record,
         options={"maxiter": config.stage1_max_iters},
     )
-    theta2 = family.theta2_from_unconstrained(res.x)
     return Stage1Result(
-        theta2=theta2,
+        theta2=family.theta2_from_unconstrained(res.x),
         obs_loglik=float(-res.fun),
         trace=trace,
         converged=bool(res.success),
         n_evals=int(res.nfev),
         message=str(res.message),
-        filtered=filter_dataset(family.build_model(family.default_theta1(), theta2), blocks),
     )
 
 
@@ -342,22 +338,23 @@ def stage2_policy_gradient(
     )
 
 
-def _fit_rewards(family, stage1: Stage1Result, config, start, **diagnostics):
+def _fit_rewards(family, stage1: Stage1Result, filtered: FilteredDataset, config, start, **diagnostics):
     """Stage two at the stage-one dynamics, then the report.
 
-    The log likelihood is the stages' own: the observation term of the
-    stage-one beliefs and the choice term stage two reached. The kernel
-    depends on theta2 alone, so those beliefs are the filter at the estimate.
+    filtered is the dataset filtered at stage1.theta2 (the kernel depends on
+    theta2 alone). The log likelihood is the stages' own: its observation
+    term and the choice term stage two reached.
     """
-    stage2 = stage2_policy_gradient(family, stage1.theta2, config, stage1.filtered)
+    stage2 = stage2_policy_gradient(family, stage1.theta2, config, filtered)
     return EstimateReport(
         theta1=stage2.theta1,
         theta2=stage1.theta2,
         labeled=family.describe(stage2.theta1, stage1.theta2),
-        loglik=LogLikelihood(stage1.filtered.obs_term, stage2.pseudo_loglik, PRIOR_TERM),
+        loglik=LogLikelihood(filtered.obs_term, stage2.pseudo_loglik, PRIOR_TERM),
         stage1=stage1,
         stage2=stage2,
         config=config,
+        filtered=filtered,
         diagnostics={"runtime_seconds": time.perf_counter() - start, **diagnostics},
     )
 
@@ -373,8 +370,10 @@ def estimate(histories, family, config: EstimatorConfig | None = None) -> Estima
     if config is None:
         config = EstimatorConfig()
     start = time.perf_counter()
-    stage1 = stage1_fit_theta2(histories, family, config)
-    return _fit_rewards(family, stage1, config, start)
+    data = DatasetBlocks.from_histories(histories, family)
+    stage1 = stage1_fit_theta2(data, family, config)
+    filtered = filter_dataset(family.build_model(family.default_theta1(), stage1.theta2), data)
+    return _fit_rewards(family, stage1, filtered, config, start)
 
 
 def empirical_increments(data: DatasetBlocks, n_bins: int) -> np.ndarray:
@@ -425,6 +424,5 @@ def fit_mdp_baseline(
         converged=True,
         n_evals=1,
         message="closed form: empirical increment frequencies",
-        filtered=filtered,
     )
-    return _fit_rewards(family, stage1, config, start, baseline="fully observed")
+    return _fit_rewards(family, stage1, filtered, config, start, baseline="fully observed")

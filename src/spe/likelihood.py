@@ -5,14 +5,16 @@ sum_t log sigma_t, a choice term sum_t log pi(a_t | z_t, x_t), and a prior
 term for the initial belief. Beliefs x_t are produced by the Bayes filter, so
 the whole likelihood is a function of the model parameters only.
 
-A fit lays its histories out once, as one padded batch (DatasetBlocks), and
-filter_dataset returns their beliefs in the same layout (FilteredDataset):
-its observation term is stage one's, and its decision rows (ChoicePoints)
-are stage two's. Stage one's score in the dynamics parameters is Fisher's
-identity, the smoothed expectation of d log K over each step's hidden pair,
-evaluated by a forward filter pass and a reverse pass of reverse conditionals
-(Cappe, Moulines and Ryden 2005, ch. 3 and sec. 10.1.3), so its cost does not
-grow with the number of parameters.
+A fit lays its histories out once, as one padded batch (DatasetBlocks) whose
+x0 holds every history's initial belief, so an assumed prior is the same
+layout with another x0. filter_dataset, run once at the dynamics estimate,
+returns the beliefs in that layout (FilteredDataset): its observation term
+is the report's, and its decision rows (ChoicePoints) are stage two's. Stage
+one's score in the dynamics parameters is Fisher's identity, the smoothed
+expectation of d log K over each step's hidden pair, evaluated by a forward
+filter pass and a reverse pass of reverse conditionals (Cappe, Moulines and
+Ryden 2005, ch. 3 and sec. 10.1.3), so its cost does not grow with the
+number of parameters.
 
 For estimation the beliefs are frozen at the dynamics estimate and only the
 choice term varies with the reward parameters; its gradient uses the score
@@ -23,6 +25,7 @@ parameter axis, read like Q through the grid.locate places of ChoicePoints.
 """
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -95,24 +98,17 @@ class FilteredDataset:
         return FilteredDataset(data, beliefs, self.sigmas[:, burn_in:], self.model_key)
 
 
-def _scan(
-    kernel_blocks,
-    data: DatasetBlocks,
-    burn_in: int,
-    penalize: bool,
-    store: bool,
-    x0: np.ndarray | None = None,
-):
+def _scan(kernel_blocks, data: DatasetBlocks, burn_in: int, penalize: bool, store: bool):
     """Filter every history at once. Returns (obs_loglik, beliefs, sigmas, score).
 
     kernel_blocks = (block_of, blocks, d_blocks): a block table as in
     model.block_table, and d_blocks of the same row its derivative in
     parameters u, or None. Padding steps read an identity block appended to
     the table; their sigma is set to 1 (the identity step's is 1 only to an
-    ulp). x0, when given, replaces every initial belief. beliefs and sigmas
-    are None unless store is set. With penalize=True a vanished observation
-    contributes log(SIGMA_FLOOR) and filtering continues from a uniform
-    belief; otherwise it raises.
+    ulp). Every history starts at its initial belief in data.x0. beliefs and
+    sigmas are None unless store is set. With penalize=True a vanished
+    observation contributes log(SIGMA_FLOOR) and filtering continues from a
+    uniform belief; otherwise it raises.
 
     The forward pass keeps histories on the last axis and stores x_t,
     numer_t = x_t K_t, sigma_t and the live steps. With d_blocks a reverse
@@ -144,7 +140,7 @@ def _scan(
     trans = np.take(np.moveaxis(table, 0, -1), rows, axis=-1)           # (s, s', T, b)
     xs, numer = np.empty((n_s, horizon + 1, b)), np.empty((n_s, horizon, b))
     sigmas, live = np.empty((horizon, b)), np.empty((horizon, b), dtype=bool)
-    xs[:, 0] = (data.x0 if x0 is None else np.broadcast_to(x0, data.x0.shape)).T
+    xs[:, 0] = data.x0.T
     for t in range(horizon):
         np.einsum("jb,jkb->kb", xs[:, t], trans[:, :, t], out=numer[:, t])
         x, sigmas[t], live[t] = bayes_posterior(numer[:, t].T)
@@ -196,19 +192,16 @@ def observation_loglik(
 ) -> float:
     """sum_t log sigma_t over the dataset, optionally skipping a burn-in prefix.
 
-    x0_override replaces every initial belief; the benchmark scores the prior
-    sweep's fits with it (bench/workloads.py).
+    Each history starts at its initial belief in blocks.x0. x0_override, one
+    belief for every history, is the layout with that x0 (the benchmark
+    scores the prior sweep's fits with it, bench/workloads.py).
     """
-    return observation_score(block_table(kernel) + (None,), blocks, burn_in, penalize, x0_override)[0]
+    if x0_override is not None:
+        blocks = dataclasses.replace(blocks, x0=np.broadcast_to(x0_override, blocks.x0.shape))
+    return observation_score(block_table(kernel) + (None,), blocks, burn_in, penalize)[0]
 
 
-def observation_score(
-    kernel_blocks,
-    blocks: DatasetBlocks,
-    burn_in: int = 0,
-    penalize: bool = False,
-    x0_override: np.ndarray | None = None,
-):
+def observation_score(kernel_blocks, blocks: DatasetBlocks, burn_in: int = 0, penalize: bool = False):
     """observation_loglik and its exact gradient, from one forward-backward pass.
 
     kernel_blocks = (block_of, blocks, d_blocks) is the kernel and its
@@ -217,7 +210,7 @@ def observation_score(
     Returns (value, score) with score of shape (n_u,), or None when d_blocks
     is None, in which case only the forward pass runs.
     """
-    total, _, _, score = _scan(kernel_blocks, blocks, burn_in, penalize, False, x0_override)
+    total, _, _, score = _scan(kernel_blocks, blocks, burn_in, penalize, False)
     return total, score
 
 

@@ -8,11 +8,13 @@ two posteriors lie within the largest D between those vertex posteriors, the
 transition's coefficient of ergodicity. The bound is on the output distance
 alone. D can grow in one update, so the bound neither scales with the input
 distance nor multiplies along a path; how fast estimates forget the initial
-belief is what the prior sweep measures.
+belief is what the prior sweep measures. The sweep lays its dataset out once;
+an assumed prior is that layout with the candidate as every history's x0.
 """
 from __future__ import annotations
 
 import dataclasses
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,9 +22,8 @@ import numpy as np
 from .errors import ContractionUndefined, InvalidParams
 from .estimator import EstimatorConfig, _require_decisions, stage1_fit_theta2
 from .estimator import stage2_policy_gradient
-# Unused here; kept because the traced benchmark (bench/layers.py) wraps this name.
-from .likelihood import filter_dataset
-from .model import Belief, History, PomdpModel, SIGMA_FLOOR
+from .likelihood import DatasetBlocks, filter_dataset
+from .model import Belief, PomdpModel, SIGMA_FLOOR
 from .model import _belief_array, bayes_posterior, block_table
 
 
@@ -138,6 +139,7 @@ class X0SweepResult:
     spreads: list
     candidates: np.ndarray
     theta2_by_m: dict
+    converged_by_m: dict     # M -> one bool per candidate: did stage one converge
     theta1_by_m: dict | None
     theta1_spreads: list | None
 
@@ -163,13 +165,14 @@ def x0_sweep_estimate(
 ) -> X0SweepResult:
     """Refit the dynamics under a grid of assumed initial beliefs.
 
-    Each candidate belief replaces the initial belief of every history, and
-    stage one is fitted on those histories with the first M steps dropped
-    from the objective; the spread is the 2-norm diameter of the dynamics
-    estimates for one burn-in M. Each fit starts from the previous estimate.
-    With refit_rewards the reward stage is rerun per candidate on the
-    stage-one filtered dataset cut at the burn-in (FilteredDataset.tail),
-    and the reward spread is recorded too.
+    The histories are laid out once. Each candidate belief becomes the
+    layout's x0, the initial belief of every history, and stage one is
+    fitted on that layout with the first M steps dropped from the objective;
+    the spread is the 2-norm diameter of the dynamics estimates for one
+    burn-in M. Each fit starts from the previous estimate, and whether each
+    converged is recorded. With refit_rewards the layout is filtered at each
+    estimate, and the reward stage is rerun on it cut at the burn-in
+    (FilteredDataset.tail); the reward spread is recorded too.
     """
     _require_decisions(histories)
     if config is None:
@@ -186,33 +189,37 @@ def x0_sweep_estimate(
             f"need at least one candidate belief over {family.n_states} hidden states, "
             f"got shape {candidates.shape}"
         )
+    # bool is a subclass of int, and int() reads 1.5 and True as 1.
+    if any(isinstance(m, bool) or not isinstance(m, numbers.Integral) for m in m_values):
+        raise InvalidParams(f"burn-in values must be integers, got {list(m_values)!r}")
     m_values = [int(m) for m in m_values]
     if any(m < 1 for m in m_values):
         raise InvalidParams("burn-in values must be at least 1")
-    min_horizon = min(h.horizon for h in histories)
-    if any(m >= min_horizon for m in m_values):
+    data = DatasetBlocks.from_histories(histories, family)
+    if any(m >= data.horizons.min() for m in m_values):
         raise InvalidParams(
-            f"burn-in must be shorter than the shortest horizon {min_horizon}"
+            f"burn-in must be shorter than the shortest horizon {data.horizons.min()}"
         )
-    rebased = [
-        [History(Belief(c), h.obs, h.acts) for h in histories] for c in candidates
-    ]
+    priors = [dataclasses.replace(data, x0=np.tile(Belief(c).probs, (len(histories), 1))) for c in candidates]
 
     spreads = []
     theta2_by_m: dict[int, np.ndarray] = {}
+    converged_by_m: dict[int, list] = {}
     theta1_by_m: dict[int, np.ndarray] = {}
     theta1_spreads: list[float] = []
     fit_config = config
     for m in m_values:
         vecs = []
+        converged_by_m[m] = []
         theta1_vecs = []
-        for fit_histories in rebased:
-            res = stage1_fit_theta2(fit_histories, family, fit_config, burn_in=m)
+        for prior in priors:
+            res = stage1_fit_theta2(prior, family, fit_config, burn_in=m)
             fit_config = dataclasses.replace(config, theta2_init=tuple(res.theta2))
             vecs.append(np.asarray(res.theta2, dtype=np.float64).ravel())
+            converged_by_m[m].append(res.converged)
             if refit_rewards:
-                refit = stage2_policy_gradient(family, res.theta2, config, res.filtered.tail(m))
-                theta1_vecs.append(refit.theta1)
+                filtered = filter_dataset(family.build_model(family.default_theta1(), res.theta2), prior)
+                theta1_vecs.append(stage2_policy_gradient(family, res.theta2, config, filtered.tail(m)).theta1)
         vecs = np.stack(vecs)
         theta2_by_m[m] = vecs
         spreads.append(_diameter(vecs))
@@ -225,6 +232,7 @@ def x0_sweep_estimate(
         spreads=spreads,
         candidates=candidates,
         theta2_by_m=theta2_by_m,
+        converged_by_m=converged_by_m,
         theta1_by_m=theta1_by_m if refit_rewards else None,
         theta1_spreads=theta1_spreads if refit_rewards else None,
     )

@@ -276,6 +276,7 @@ def test_config_file_merging(tiny_dataset, tmp_path):
     assert rc == 0
     payload = json.loads(report.read_text())
     assert payload["config"]["grid_resolution"] == 31
+    assert payload["converged"] == {"1": [True] * 3, "2": [True] * 3}
 
 
 def test_report_embeds_the_whole_config(tiny_dataset, tmp_path):
@@ -454,6 +455,22 @@ def test_dataset_without_decisions_is_an_error(tmp_path, capsys, argv, records):
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "no decisions" in err
+
+
+def test_sensitivity_nonconvergence_exit_code(tiny_dataset, tmp_path, capsys):
+    # a fit stopped by the iteration cap used to feed the spread unflagged
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"grid_resolution": 31, "stage1_max_iters": 1}))
+    csv_path, report = tmp_path / "curve.csv", tmp_path / "sweep.json"
+    rc = run(["sensitivity", "--data", tiny_dataset, "--config", cfg, "--m", "1,2",
+              "--candidates", "3", "--out", csv_path, "--report", report])
+    assert rc == 1
+    assert "stopped before tolerance" in capsys.readouterr().err
+    # the outputs survive the failed exit so the run can be inspected
+    assert csv_path.read_text().startswith("M,spread")
+    payload = json.loads(report.read_text())
+    assert payload["converged"] == {"1": [False] * 3, "2": [False] * 3}
+    assert {m: np.shape(rows) for m, rows in payload["theta2_by_m"].items()} == {"1": (3, 10), "2": (3, 10)}
 
 
 def test_sensitivity_needs_a_candidate(tiny_dataset, tmp_path, capsys):

@@ -69,6 +69,11 @@ def frozen(family, histories):
     return filter_dataset(model, DatasetBlocks.from_histories(histories, model))
 
 
+def laid_out(histories):
+    """The histories as one layout for stage one of the two-condition engine."""
+    return DatasetBlocks.from_histories(list(histories), EngineFamily())
+
+
 def increments(*histories):
     """empirical_increments of observable-engine histories."""
     family = EngineFamily(n_conditions=1)
@@ -93,15 +98,21 @@ def small_report(small_fleet, small_config):
 def test_stage1_dominates_truth(small_fleet, small_config):
     family = EngineFamily()
     _, truth2 = family.params_to_theta(reference_params())
-    s1 = stage1_fit_theta2(small_fleet, family, small_config)
-    probe = family.build_model(family.default_theta1(), truth2)
-    blocks = DatasetBlocks.from_histories(small_fleet, probe)
-    at_truth = observation_loglik(family.build_kernel(truth2), blocks)
+    data = laid_out(small_fleet)
+    s1 = stage1_fit_theta2(data, family, small_config)
+    at_truth = observation_loglik(family.build_kernel(truth2), data)
     assert s1.obs_loglik >= at_truth - 1e-6
     assert s1.converged
-    # frozen paths were filtered at the fitted dynamics
-    model_hat = family.build_model(family.default_theta1(), s1.theta2)
-    assert s1.filtered.model_key == model_hat.content_key()
+
+
+def test_estimate_freezes_the_beliefs_at_its_estimate(small_report, small_fleet):
+    # stage one returns the estimate alone; estimate filters its one layout there
+    family = EngineFamily()
+    model_hat = family.build_model(family.default_theta1(), small_report.theta2)
+    assert small_report.filtered.model_key == model_hat.content_key()
+    again = filter_dataset(model_hat, laid_out(small_fleet))
+    np.testing.assert_array_equal(small_report.filtered.beliefs, again.beliefs)
+    assert small_report.loglik.obs_term == again.obs_term
 
 
 def test_stage1_trace_costs_no_extra_filter_pass(small_fleet, small_config, monkeypatch):
@@ -116,7 +127,7 @@ def test_stage1_trace_costs_no_extra_filter_pass(small_fleet, small_config, monk
         return filter_pass(*args, **kwargs)
 
     monkeypatch.setattr(estimator, "observation_score", counted)
-    s1 = stage1_fit_theta2(small_fleet, EngineFamily(), small_config)
+    s1 = stage1_fit_theta2(laid_out(small_fleet), EngineFamily(), small_config)
     assert len(passes) == s1.n_evals
     assert len(s1.trace) >= 2 and all(type(v) is float for v in s1.trace)
     assert s1.trace[-1] == s1.obs_loglik
@@ -125,7 +136,7 @@ def test_stage1_trace_costs_no_extra_filter_pass(small_fleet, small_config, monk
 
 def test_stage1_objective_builds_no_dense_kernel(small_fleet, small_config, monkeypatch):
     # every pass filters on the family's kernel blocks; build_kernel runs
-    # only outside the search, to check the start and for the final paths
+    # only outside the search, to check the start
     builds = []
     build_kernel = EngineFamily.build_kernel
 
@@ -144,7 +155,7 @@ def test_stage1_objective_builds_no_dense_kernel(small_fleet, small_config, monk
 
     monkeypatch.setattr(EngineFamily, "build_kernel", counted)
     monkeypatch.setattr(estimator, "minimize", counted_search)
-    s1 = stage1_fit_theta2(small_fleet, EngineFamily(), small_config)
+    s1 = stage1_fit_theta2(laid_out(small_fleet), EngineFamily(), small_config)
     assert s1.n_evals >= 2
     assert inside == [0]
     assert len(builds) >= 1
@@ -172,7 +183,7 @@ def fleet6_fits(fleet6):
     fits = {}
     for x0 in ((0.1, 0.9), (0.0, 1.0)):
         family = _RecordingFamily()
-        fit = stage1_fit_theta2(_rebased(fleet6, x0), family, EstimatorConfig(), burn_in=8)
+        fit = stage1_fit_theta2(laid_out(_rebased(fleet6, x0)), family, EstimatorConfig(), burn_in=8)
         fits[x0] = fit, family.trials
     return fits
 
@@ -185,7 +196,7 @@ def test_stage1_reaches_the_optimum_past_saturated_trial_points(fleet6, fleet6_f
     family = EngineFamily()
     truth = family.params_to_theta(reference_params())[1]
     from_truth = stage1_fit_theta2(
-        _rebased(fleet6, (0.1, 0.9)), family, EstimatorConfig(theta2_init=tuple(truth)), burn_in=8
+        laid_out(_rebased(fleet6, (0.1, 0.9))), family, EstimatorConfig(theta2_init=tuple(truth)), burn_in=8
     )
     assert fit.converged
     assert fit.obs_loglik == pytest.approx(from_truth.obs_loglik, abs=1e-3)
@@ -197,7 +208,7 @@ def test_stage1_score_is_finite_at_the_saturated_trial_point(fleet6, fleet6_fits
     _, trials = fleet6_fits[x0]
     u = max(trials, key=lambda v: np.abs(v).max())
     family = EngineFamily()
-    data = DatasetBlocks.from_histories(_rebased(fleet6, x0), family)
+    data = laid_out(_rebased(fleet6, x0))
     _, score = observation_score(family.kernel_blocks(u), data, burn_in=8, penalize=True)
     assert np.all(np.isfinite(score))
     with np.errstate(all="ignore"):
@@ -215,7 +226,7 @@ def test_stage1_refuses_a_non_finite_score(small_fleet, small_config):
             return block_of, blocks, d_blocks
 
     with pytest.raises(NonFiniteObjective):
-        stage1_fit_theta2(small_fleet, NanDerivative(), small_config)
+        stage1_fit_theta2(laid_out(small_fleet), NanDerivative(), small_config)
 
 
 @pytest.mark.parametrize(
@@ -226,7 +237,7 @@ def test_stage1_refuses_a_start_outside_the_parameter_space(small_fleet, small_c
     # a config file can set theta2_init; the chart would move a bad start into range unseen
     config = dataclasses.replace(small_config, theta2_init=theta2_init)
     with pytest.raises(InvalidParams):
-        stage1_fit_theta2(small_fleet, EngineFamily(), config)
+        stage1_fit_theta2(laid_out(small_fleet), EngineFamily(), config)
 
 
 def test_backtracking_ascent_is_monotone(small_report):
@@ -263,7 +274,7 @@ def test_fit_reports_the_stages_own_likelihood(monkeypatch, small_report):
     assert len(builds) == 1
     for rep in (report, small_report):
         assert rep.loglik.choice_term == rep.stage2.pseudo_loglik
-        obs_term = float(sum(np.log(sigmas).sum() for sigmas in rep.stage1.filtered.sigmas))
+        obs_term = float(sum(np.log(sigmas).sum() for sigmas in rep.filtered.sigmas))
         assert rep.loglik.obs_term == obs_term
 
 
@@ -376,7 +387,7 @@ def test_stage2_solves_each_point_once(monkeypatch, small_fleet, small_config, s
     monkeypatch.setattr(BellmanSolver, "solve", counted)
     family = EngineFamily()
     s2 = stage2_policy_gradient(
-        family, small_report.theta2, small_config, small_report.stage1.filtered
+        family, small_report.theta2, small_config, small_report.filtered
     )
     assert s2.converged
     rejected = sum(round(-np.log2(step)) for step in s2.step_sizes)
@@ -404,8 +415,10 @@ def test_iteration_cap_flags_non_convergence(small_fleet):
         grid_resolution=51, grad_norm_tol=1e-12, max_stage2_iters=1
     )
     family = EngineFamily()
-    s1 = stage1_fit_theta2(small_fleet, family, cfg)
-    s2 = stage2_policy_gradient(family, s1.theta2, cfg, s1.filtered)
+    data = laid_out(small_fleet)
+    s1 = stage1_fit_theta2(data, family, cfg)
+    model = family.build_model(family.default_theta1(), s1.theta2)
+    s2 = stage2_policy_gradient(family, s1.theta2, cfg, filter_dataset(model, data))
     assert not s2.converged
     assert np.all(np.isfinite(s2.theta1))   # best iterate still returned
 

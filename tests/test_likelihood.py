@@ -408,12 +408,14 @@ def test_burn_in_on_mixed_horizons():
 
 
 def test_dataset_is_laid_out_once_per_fit():
-    # stage one lays the histories out and filters that layout at its
-    # estimate; stage two and the report read the same FilteredDataset
+    # a fit lays the histories out before stage one, which fits that layout,
+    # and filters it once at the estimate; stage two and the report read the
+    # same FilteredDataset. The prior sweep lays out once for all its fits.
     assert call_sites(("from_histories",)) == [
+        ("estimator.py", "estimate", "DatasetBlocks.from_histories"),
         ("estimator.py", "fit_mdp_baseline", "DatasetBlocks.from_histories"),
-        ("estimator.py", "stage1_fit_theta2", "DatasetBlocks.from_histories"),
         ("likelihood.py", "log_likelihood", "DatasetBlocks.from_histories"),
+        ("sensitivity.py", "x0_sweep_estimate", "DatasetBlocks.from_histories"),
     ]
     assert "FilteredPath" not in spe.__all__
 

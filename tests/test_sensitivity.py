@@ -29,6 +29,7 @@ from spe import (
     two_period_identification_probe,
     x0_sweep_estimate,
 )
+from spe import estimator, sensitivity
 from spe.likelihood import DatasetBlocks
 from spe.model import SIGMA_FLOOR
 from support import random_belief, random_model, sparse_random_model, two_state_hand_model
@@ -203,22 +204,76 @@ def test_sweep_validation(ref_params):
     for cands in ([[0.5, 0.6]], [[1.5, -0.5]], [[0.2, 0.3, 0.5]], np.zeros((0, 2))):
         with pytest.raises(InvalidParams):
             x0_sweep_estimate(sim.histories, family, m_values=(1,), candidates=cands)
+    # each history's own initial belief is checked when the dataset is laid
+    # out, as estimate checks it, though every candidate replaces it
+    three_states = [History(Belief.uniform(3), h.obs, h.acts) for h in sim.histories]
+    with pytest.raises(InvalidParams, match="initial belief has 3 states"):
+        x0_sweep_estimate(three_states, family, m_values=(1,))
 
 
 def test_sweep_prior_travels_on_the_histories(ref_params):
-    # candidate c's fit is stage 1 on the histories rebased onto c, started
-    # from the previous candidate's estimate
+    # candidate c's fit is stage 1 on the histories rebased onto c and laid
+    # out, started from the previous candidate's estimate: the sweep's one
+    # layout with c as its x0 is that layout, bit for bit
     sim = simulate(ref_params, SimConfig(12, 20, seed=7))
     family = EngineFamily()
     cfg = EstimatorConfig(grid_resolution=31, stage1_max_iters=120)
     cands = np.array([[0.8, 0.2], [0.2, 0.8]])
     res = x0_sweep_estimate(sim.histories, family, cfg, m_values=(2,), candidates=cands)
-    rebased = [[History(Belief(c), h.obs, h.acts) for h in sim.histories] for c in cands]
+    rebased = [
+        DatasetBlocks.from_histories([History(Belief(c), h.obs, h.acts) for h in sim.histories], family)
+        for c in cands
+    ]
     first = stage1_fit_theta2(rebased[0], family, cfg, burn_in=2)
     np.testing.assert_array_equal(res.theta2_by_m[2][0], first.theta2)
     warm = dataclasses.replace(cfg, theta2_init=tuple(first.theta2))
     second = stage1_fit_theta2(rebased[1], family, warm, burn_in=2)
     np.testing.assert_array_equal(res.theta2_by_m[2][1], second.theta2)
+    assert res.converged_by_m == {2: [first.converged, second.converged]}
+
+
+def test_sweep_lays_the_dataset_out_once(ref_params, monkeypatch):
+    # one layout for every candidate and burn-in; the layout is filtered at
+    # an estimate only when the rewards are refitted there
+    layouts, filters = [], []
+    lay_out, filter_once = DatasetBlocks.from_histories.__func__, sensitivity.filter_dataset
+
+    def counted_layout(cls, *args, **kwargs):
+        layouts.append(1)
+        return lay_out(cls, *args, **kwargs)
+
+    def counted_filter(*args, **kwargs):
+        filters.append(1)
+        return filter_once(*args, **kwargs)
+
+    monkeypatch.setattr(DatasetBlocks, "from_histories", classmethod(counted_layout))
+    monkeypatch.setattr(estimator, "filter_dataset", counted_filter)
+    monkeypatch.setattr(sensitivity, "filter_dataset", counted_filter)
+    sim = simulate(ref_params, SimConfig(6, 12, seed=3))
+    cfg = EstimatorConfig(
+        grid_resolution=11, stage1_max_iters=5, grad_norm_tol=1e-1, max_stage2_iters=1
+    )
+    cands = np.array([[0.9, 0.1], [0.5, 0.5], [0.1, 0.9]])
+    for refit, n_filters in ((False, 0), (True, 6)):
+        layouts.clear()
+        filters.clear()
+        x0_sweep_estimate(
+            sim.histories, EngineFamily(), cfg, m_values=(1, 2), candidates=cands,
+            refit_rewards=refit,
+        )
+        assert (len(layouts), len(filters)) == (1, n_filters)
+
+
+def test_sweep_refuses_burn_in_values_that_are_not_integers(ref_params, monkeypatch):
+    # int() used to read 1.5 and True as a burn-in of 1
+    def no_work(*args, **kwargs):
+        raise AssertionError("fitting started with a burn-in that is not an integer")
+
+    monkeypatch.setattr(sensitivity, "stage1_fit_theta2", no_work)
+    sim = simulate(ref_params, SimConfig(4, 10, seed=2))
+    for m_values in ((1.5,), (True,), (2, "3"), (np.float64(2.0),)):
+        with pytest.raises(InvalidParams, match="must be integers"):
+            x0_sweep_estimate(sim.histories, EngineFamily(), m_values=m_values)
 
 
 def test_sweep_rank_one_dynamics_ignore_x0(ref_params):
@@ -248,6 +303,7 @@ def test_sweep_csv_and_shapes(ref_params):
     )
     assert res.m_values == [1, 3]
     assert len(res.spreads) == 2
+    assert {m: len(flags) for m, flags in res.converged_by_m.items()} == {1: 2, 3: 2}
     assert all(np.isfinite(s) for s in res.spreads)
     assert res.theta1_by_m is None
     text = res.to_csv()
@@ -295,8 +351,8 @@ def test_sweep_refit_rewards_path(ref_params):
     assert res.theta1_by_m[2].shape == (2, 3)
     assert len(res.theta1_spreads) == 1
     assert np.isfinite(res.theta1_spreads[0])
-    # the refit fits stage one's belief paths cut at the burn-in, which are
-    # the filter run afresh on the tails
+    # the refit fits the layout filtered at each estimate and cut at the
+    # burn-in, which is the filter run afresh on the tails
     family = EngineFamily()
     for c, theta2, theta1 in zip(cands, res.theta2_by_m[2], res.theta1_by_m[2]):
         model = family.build_model(family.default_theta1(), theta2)
