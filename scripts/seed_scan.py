@@ -3,8 +3,10 @@
 For each seed: simulate the reference fleet, run both stages with a tight
 stage-two tolerance (initialized at the true rewards so the scan only pays
 for locating the optimum), and report element-wise deviations from the
-generating parameters. Used once to pick the frozen seed in the acceptance
-suite; not part of the test run.
+generating parameters. A fit in which some action is never taken is flagged
+with the warning `spe estimate` prints: its choice likelihood has no finite
+maximum in the reward, so its convergence says nothing about recovery. Used
+once to pick the frozen seed in the acceptance suite; not part of the test run.
 """
 from __future__ import annotations
 
@@ -51,6 +53,7 @@ def scan_one(seed: int, x0, n: int, horizon: int) -> dict:
         "theta1": s2.theta1,
         "n_repl": n_repl,
         "converged": s2.converged,
+        "never_taken": [a for a, n in enumerate(s2.diagnostics["action_counts"]) if n == 0],
         "seconds": time.perf_counter() - t0,
     }
 
@@ -67,11 +70,15 @@ def main() -> int:
         x0 = tuple(float(v) for v in x0.split(","))
     for seed in args.seeds:
         r = scan_one(seed, x0, args.n, args.horizon)
+        warnings = "".join(
+            f"  warning: action {a} is never taken; the choice likelihood has no finite maximum in its reward"
+            for a in r["never_taken"]
+        )
         print(
             f"seed {r['seed']:>6d}  dev1max {r['dev1_max']:.4f}  "
             f"dev1 {np.round(r['dev1'], 4)}  dev2max {r['dev2_max']:.5f}  "
             f"theta1 {np.round(r['theta1'], 3)}  repl {r['n_repl']:>4d}  "
-            f"conv {r['converged']}  {r['seconds']:.0f}s",
+            f"conv {r['converged']}{' (no finite maximum)' if warnings else ''}  {r['seconds']:.0f}s{warnings}",
             flush=True,
         )
     return 0

@@ -36,7 +36,7 @@ _SUBMODULES = {
     "estimator": (
         "EstimateReport", "EstimatorConfig", "Stage1Result", "Stage2Result",
         "empirical_increments", "estimate", "fit_mdp_baseline", "stage1_fit_theta2",
-        "stage2_policy_gradient",
+        "stage1_information", "stage2_policy_gradient",
     ),
     "engine": (
         "EngineFamily", "EngineParams", "SimConfig", "SimResult",

@@ -125,7 +125,7 @@ class BellmanSolver:
 
         block_of, blocks = block_table(model.kernel)
         z, a, z2 = np.nonzero(block_of.transpose(1, 0, 2))
-        lam, sig, live = bayes_posterior(grid.nodes @ blocks[1:])    # (blocks, g, s)
+        lam, sig, live = (v.T for v in bayes_posterior((grid.nodes @ blocks[1:]).T))   # (blocks, g, s)
         flat, w = grid.locate(np.repeat(z2, g), lam.reshape(-1, n_s))
         w = np.where(live.reshape(-1, 1), w * sig.reshape(-1, 1), 0.0)
         # A block's slot is its rank among the blocks of its (z, a).

@@ -247,6 +247,7 @@ def cmd_sensitivity(args) -> int:
             config=dataclasses.asdict(config),
             theta2_by_m={m: rows.tolist() for m, rows in result.theta2_by_m.items()},
             converged=result.converged_by_m,
+            scaled=result.scaled,
         )
     unconverged = sum(not c for flags in result.converged_by_m.values() for c in flags)
     if unconverged:

@@ -425,7 +425,7 @@ def simulate(params: EngineParams, config: SimConfig) -> SimResult:
         k = np.minimum((u[:, 3 + 2 * t, None] >= rows).sum(axis=1), rows.shape[1] - 1)
         z_next, s_next = np.divmod(cols[a, z, s, k], model.n_states)
         trans = blocks[block_of[a, z, z_next]]
-        x, _, _ = bayes_posterior(np.einsum("ms,mst->mt", x, trans))
+        x = bayes_posterior(np.einsum("ms,mst->mt", x, trans).T)[0].T
         acts[:, t] = a
         obs[:, t + 1] = z_next
         states[:, t + 1] = s_next

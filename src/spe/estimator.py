@@ -59,6 +59,7 @@ from .likelihood import (
 
 ARMIJO_SLOPE = 1e-4
 STEP_FLOOR = 1e-18
+INFORMATION_STEP = 1e-4   # chart step of stage1_information's central differences
 
 
 @dataclass(frozen=True)
@@ -176,7 +177,11 @@ class EstimateReport:
 
 
 def stage1_fit_theta2(
-    data: DatasetBlocks, family, config: EstimatorConfig, burn_in: int = 0
+    data: DatasetBlocks,
+    family,
+    config: EstimatorConfig,
+    burn_in: int = 0,
+    information: np.ndarray | None = None,
 ) -> Stage1Result:
     """Maximize the observation term of a laid-out dataset over the dynamics parameters.
 
@@ -191,6 +196,13 @@ def stage1_fit_theta2(
     search as converged. burn_in drops the first steps of each history from
     the objective, for the initial-belief sweep. Nothing is filtered at the
     estimate: a caller that needs the beliefs runs filter_dataset there.
+
+    information, a positive definite observed information in the chart
+    (stage1_information) with Cholesky factor L, runs L-BFGS in the whitened
+    coordinates v of u = u_0 + L^-T v, where the gradient is L^-1 g: the
+    search starts with the curvature a previous fit measured instead of the
+    identity (Nocedal and Wright 2006, secs. 6.1 and 7.2). Without it the
+    search runs on the chart itself.
     """
     theta2_0 = (
         np.asarray(config.theta2_init, dtype=np.float64)
@@ -198,6 +210,7 @@ def stage1_fit_theta2(
         else family.default_theta2()
     )
     family.build_model(family.default_theta1(), theta2_0)   # refuses a start that is no kernel
+    u_0 = family.theta2_to_unconstrained(theta2_0)
 
     def negative_obs(u):
         value, score = observation_score(family.kernel_blocks(u), data, burn_in, penalize=True)
@@ -205,27 +218,70 @@ def stage1_fit_theta2(
             raise NonFiniteObjective(f"observation term {value!r} or its score not finite at u = {u}")
         return -value, -score
 
+    objective, start, to_chart = negative_obs, u_0, None
+    if information is not None:
+        inv_chol = _whitener(information)
+        if inv_chol is None:
+            raise InvalidParams("the information that whitens stage one must be positive definite")
+
+        def to_chart(v):
+            return u_0 + inv_chol.T @ v
+
+        def objective(v):
+            value, grad = negative_obs(to_chart(v))
+            return value, inv_chol @ grad
+
+        start = np.zeros(u_0.size)
+
     trace: list[float] = []
 
     def record(intermediate_result):
         trace.append(-float(intermediate_result.fun))
 
     res = minimize(
-        negative_obs,
-        family.theta2_to_unconstrained(theta2_0),
+        objective,
+        start,
         method="L-BFGS-B",
         jac=True,
         callback=record,
         options={"maxiter": config.stage1_max_iters},
     )
     return Stage1Result(
-        theta2=family.theta2_from_unconstrained(res.x),
+        theta2=family.theta2_from_unconstrained(res.x if to_chart is None else to_chart(res.x)),
         obs_loglik=float(-res.fun),
         trace=trace,
         converged=bool(res.success),
         n_evals=int(res.nfev),
         message=str(res.message),
     )
+
+
+def _whitener(information: np.ndarray) -> np.ndarray | None:
+    """L^-1 for the Cholesky factor L of a finite positive definite information, else None."""
+    if not np.all(np.isfinite(information)):
+        return None
+    try:
+        return np.linalg.inv(np.linalg.cholesky(information))
+    except np.linalg.LinAlgError:
+        return None
+
+
+def stage1_information(data: DatasetBlocks, family, theta2: np.ndarray, burn_in: int = 0) -> np.ndarray:
+    """Observed information of stage one's objective at theta2, in the chart.
+
+    Minus the Hessian of the (penalized) observation term in u, by central
+    differences of the exact score with step INFORMATION_STEP: 2 n_u passes,
+    then symmetrized. Where theta2 is a local maximum it is positive
+    semidefinite; stage1_fit_theta2 takes it as its metric.
+    """
+    u = family.theta2_to_unconstrained(np.asarray(theta2, dtype=np.float64))
+    columns = [
+        observation_score(family.kernel_blocks(u - e), data, burn_in, penalize=True)[1]
+        - observation_score(family.kernel_blocks(u + e), data, burn_in, penalize=True)[1]
+        for e in INFORMATION_STEP * np.eye(u.size)
+    ]
+    info = np.stack(columns, axis=1) / (2.0 * INFORMATION_STEP)
+    return (info + info.T) / 2.0
 
 
 def stage2_policy_gradient(

@@ -7,8 +7,11 @@ the whole likelihood is a function of the model parameters only.
 
 A fit lays its histories out once, as one padded batch (DatasetBlocks) whose
 x0 holds every history's initial belief, so an assumed prior is the same
-layout with another x0. filter_dataset, run once at the dynamics estimate,
-returns the beliefs in that layout (FilteredDataset): its observation term
+layout with another x0. The layout also keeps where each step reads its
+kernel block, built once per block structure; every pass runs time-major on
+contiguous (T, ..., N) buffers, a few ufunc calls per step, with the Bayes
+rule of model.bayes_posterior. filter_dataset, run once at the dynamics
+estimate, returns the beliefs in that layout (FilteredDataset): its observation term
 is the report's, and its decision rows (ChoicePoints) are stage two's. Stage
 one's score in the dynamics parameters is Fisher's identity, the smoothed
 expectation of d log K over each step's hidden pair, evaluated by a forward
@@ -26,7 +29,7 @@ parameter axis, read like Q through the grid.locate places of ChoicePoints.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -34,7 +37,7 @@ from .bellman import BellmanSolver, QTable, _logsumexp_actions, _softmax_actions
 from .bellman import solve as bellman_solve
 from .errors import InvalidParams, MaxIterExceeded, ZeroObservationProbability
 from .grid import BeliefGrid, read
-from .model import History, PomdpModel, bayes_posterior, block_table
+from .model import History, PomdpModel, _state_sum, bayes_posterior, block_table
 
 PRIOR_TERM = 0.0  # initial beliefs are treated as data, not parameters
 
@@ -53,6 +56,7 @@ class DatasetBlocks:
     acts: np.ndarray
     x0: np.ndarray
     horizons: np.ndarray
+    _step_index: dict = field(default_factory=dict, repr=False)
 
     @classmethod
     def from_histories(cls, histories: list[History], model) -> "DatasetBlocks":
@@ -70,6 +74,31 @@ class DatasetBlocks:
     def steps(self) -> np.ndarray:
         """(N, T) mask of the steps inside each history's horizon."""
         return np.arange(self.acts.shape[1]) < self.horizons[:, None]
+
+    def step_index(self, block_of: np.ndarray, n_blocks: int):
+        """Where each step reads its kernel block, and the (T, N) step mask.
+
+        The index (T, s*s', N) points into a block table of n_blocks rows
+        and an identity row after them, transposed to (s*s', n_blocks + 1)
+        and flattened: entry (t, q, i) is entry q of the block of history
+        i's step t, the identity at padding steps. Built once per block
+        structure and kept; dataclasses.replace hands the kept index to a
+        copy, which uses it while obs, acts and horizons are the same arrays.
+        """
+        kept = self._step_index
+        arrays = (self.obs, self.acts, self.horizons)
+        if not (
+            kept
+            and all(a is b for a, b in zip(kept["arrays"], arrays))
+            and kept["n_blocks"] == n_blocks
+            and np.array_equal(kept["block_of"], block_of)
+        ):
+            steps, obs = np.ascontiguousarray(self.steps.T), self.obs.T
+            rows = np.where(steps, block_of[self.acts.T, obs[:-1], obs[1:]], n_blocks)
+            n_q = self.x0.shape[1] ** 2
+            index = np.ascontiguousarray(rows[:, None, :] + (n_blocks + 1) * np.arange(n_q)[:, None])
+            kept.update(arrays=arrays, n_blocks=n_blocks, block_of=block_of.copy(), index=index, steps=steps)
+        return kept["index"], kept["steps"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,8 +139,10 @@ def _scan(kernel_blocks, data: DatasetBlocks, burn_in: int, penalize: bool, stor
     observation contributes log(SIGMA_FLOOR) and filtering continues from a
     uniform belief; otherwise it raises.
 
-    The forward pass keeps histories on the last axis and stores x_t,
-    numer_t = x_t K_t, sigma_t and the live steps. With d_blocks a reverse
+    The forward pass is time-major, with histories on the last axis: it
+    gathers every step's block K_t (T, s, s', b) at once (data.step_index)
+    and stores x_t, numer_t = x_t K_t, sigma_t and the live steps, each step
+    a few ufunc calls on contiguous (s, b) slices. With d_blocks a reverse
     pass returns the score d obs_loglik/du by Fisher's identity: the sum over
     steps and hidden pairs (j, k) of W_t(j, k) d log K_t(j, k), where from
     h_T = 0
@@ -133,17 +164,17 @@ def _scan(kernel_blocks, data: DatasetBlocks, burn_in: int, penalize: bool, stor
         )
     block_of, blocks, d_blocks = kernel_blocks
     b, horizon = data.acts.shape
-    n_s = data.x0.shape[1]
-    obs, steps = data.obs.T, data.steps.T                               # (T + 1, b), (T, b)
-    rows = np.where(steps, block_of[data.acts.T, obs[:-1], obs[1:]], blocks.shape[0])
-    table = np.concatenate([blocks, np.eye(n_s)[None]])
-    trans = np.take(np.moveaxis(table, 0, -1), rows, axis=-1)           # (s, s', T, b)
-    xs, numer = np.empty((n_s, horizon + 1, b)), np.empty((n_s, horizon, b))
+    n_s, n_rows = data.x0.shape[1], blocks.shape[0] + 1
+    index, steps = data.step_index(block_of, blocks.shape[0])          # (T, s*s', b), (T, b)
+    table = np.concatenate([blocks, np.eye(n_s)[None]]).reshape(n_rows, -1)
+    trans = np.take(table.T.ravel(), index).reshape(horizon, n_s, n_s, b)
+    xs, numer = np.empty((horizon + 1, n_s, b)), np.empty((horizon, n_s, b))
     sigmas, live = np.empty((horizon, b)), np.empty((horizon, b), dtype=bool)
-    xs[:, 0] = data.x0.T
+    xs[0] = data.x0.T
+    products = np.empty((n_s, n_s, b))
     for t in range(horizon):
-        np.einsum("jb,jkb->kb", xs[:, t], trans[:, :, t], out=numer[:, t])
-        x, sigmas[t], live[t] = bayes_posterior(numer[:, t].T)
+        _state_sum(np.multiply(trans[t], xs[t, :, None], out=products), out=numer[t])
+        bayes_posterior(numer[t], out=(xs[t + 1], sigmas[t], live[t]))
         if not penalize and not np.all(live[t]):
             bad = int(np.flatnonzero(~live[t])[0])
             raise ZeroObservationProbability(
@@ -151,28 +182,27 @@ def _scan(kernel_blocks, data: DatasetBlocks, burn_in: int, penalize: bool, stor
                 f"probability 0 at step {t}",
                 step=t,
             )
-        xs[:, t + 1] = x.T
     sigmas[~steps] = 1.0
     live &= steps
     total = float(np.log(sigmas[burn_in:]).sum())
     score = None
     if d_blocks is not None:
-        xk = np.multiply(trans, xs[:, None, :-1], out=trans)             # x_t(j) K_t(j, k)
-        w = xk / np.where((numer > 0.0) & live, numer, np.inf)            # R_t, 0 on dead steps
-        xk *= live / sigmas                                               # two-slice filter law
-        h = np.zeros((n_s, b))
+        xk = np.multiply(trans, xs[:-1, :, None], out=trans)             # x_t(j) K_t(j, k)
+        w = xk / np.where((numer > 0.0) & live[:, None], numer, np.inf)[:, None]   # R_t, 0 on dead steps
+        xk *= (live / sigmas)[:, None, None]                              # two-slice filter law
+        h, c = np.zeros((n_s, b)), np.empty(b)
         for t in range(horizon - 1, -1, -1):
-            c = float(t >= burn_in) - h.sum(axis=0)
-            w[:, :, t] *= h
-            w[:, :, t] += c * xk[:, :, t]                                 # W_t
-            h = w[:, :, t].sum(axis=1)
-        flat, k_u = rows.ravel(), blocks[..., None]
-        per_row = [np.bincount(flat, w_jk, table.shape[0])[:-1] for w_jk in w.reshape(n_s * n_s, -1)]
+            np.subtract(float(t >= burn_in), _state_sum(h, out=c), out=c)
+            w[t] *= h
+            w[t] += np.multiply(xk[t], c, out=products)                  # W_t
+            _state_sum(w[t].transpose(1, 0, 2), out=h)
+        per_row = np.bincount(index.ravel(), w.ravel(), n_rows * n_s * n_s).reshape(-1, n_rows)[:, :-1]
+        k_u = blocks[..., None]
         d_log = np.divide(d_blocks, k_u, out=np.zeros_like(d_blocks), where=k_u > 0.0)
         score = np.einsum("qr,rqu->u", per_row, d_log.reshape(k_u.shape[0], n_s * n_s, -1))
     if not store:
         return total, None, None, score
-    return total, np.ascontiguousarray(xs.transpose(2, 1, 0)), np.ascontiguousarray(sigmas.T), score
+    return total, np.ascontiguousarray(xs.transpose(2, 0, 1)), np.ascontiguousarray(sigmas.T), score
 
 
 def filter_dataset(model: PomdpModel, data: DatasetBlocks) -> FilteredDataset:

@@ -179,25 +179,39 @@ def lambda_update(model: PomdpModel, z_next: int, z: int, x, a: int) -> Belief:
     return Belief(out / out.sum())
 
 
-def bayes_posterior(numer: np.ndarray):
-    """Batched Bayes rule on unnormalized posteriors numer[..., s'].
+def bayes_posterior(numer: np.ndarray, out=None):
+    """Batched Bayes rule on unnormalized posteriors numer[s', ...], the state axis first.
 
-    Returns (beliefs, sigma, live): sigma is the row mass floored at
-    SIGMA_FLOOR, live marks rows whose mass reaches the floor, and dead rows
-    get the uniform belief. Beliefs are clamped at 0 and renormalized. Sums
-    run column by column: a reduction over the short state axis costs more.
+    Returns (beliefs, sigma, live): sigma is the mass over s' floored at
+    SIGMA_FLOOR, live marks entries whose mass reaches the floor, and dead
+    entries get the uniform belief. Beliefs are clamped at 0 and
+    renormalized. out = (beliefs, sigma, live) are arrays to write into (views
+    included). Sums run state by state, in state order: with the state axis
+    first each term is one slice, and a reduction over the short axis costs
+    more. A caller with states last passes numer.T and transposes back.
     """
-    n = numer.shape[-1]
-    sig = sum(numer[..., j] for j in range(n))
-    live = sig >= SIGMA_FLOOR
+    n = numer.shape[0]
+    if out is None:
+        out = np.empty_like(numer), np.empty_like(numer[0]), np.empty_like(numer[0], dtype=bool)
+    x, sig, live = out
+    _state_sum(numer, out=sig)
+    np.greater_equal(sig, SIGMA_FLOOR, out=live)
     if live.all():
-        x = numer / sig[..., None]
+        np.divide(numer, sig, out=x)
     else:
-        sig = np.where(live, sig, SIGMA_FLOOR)
-        x = np.where(live[..., None], numer / sig[..., None], 1.0 / n)
+        np.copyto(sig, SIGMA_FLOOR, where=~live)
+        np.copyto(x, np.where(live, numer / sig, 1.0 / n))
     np.maximum(x, 0.0, out=x)
-    x /= sum(x[..., j] for j in range(n))[..., None]
+    x /= _state_sum(x)
     return x, sig, live
+
+
+def _state_sum(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """a[0] + a[1] + ... in that order, into out or a new array."""
+    total = np.add(a[0], a[1], out=out) if a.shape[0] > 1 else np.positive(a[0], out=out)
+    for j in range(2, a.shape[0]):
+        total += a[j]
+    return total
 
 
 def block_table(kernel: np.ndarray):

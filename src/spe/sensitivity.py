@@ -10,6 +10,9 @@ alone. D can grow in one update, so the bound neither scales with the input
 distance nor multiplies along a path; how fast estimates forget the initial
 belief is what the prior sweep measures. The sweep lays its dataset out once;
 an assumed prior is that layout with the candidate as every history's x0.
+Its fits are chained, each started at the previous estimate, and after the
+first they run in coordinates whitened by the first fit's observed
+information, so each starts with the curvature it would otherwise relearn.
 """
 from __future__ import annotations
 
@@ -20,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractionUndefined, InvalidParams
-from .estimator import EstimatorConfig, _require_decisions, stage1_fit_theta2
-from .estimator import stage2_policy_gradient
+from .estimator import EstimatorConfig, _require_decisions, _whitener, stage1_fit_theta2
+from .estimator import stage1_information, stage2_policy_gradient
 from .likelihood import DatasetBlocks, filter_dataset
 from .model import Belief, PomdpModel, SIGMA_FLOOR
 from .model import _belief_array, bayes_posterior, block_table
@@ -118,7 +121,7 @@ def contraction_certificate(
         for z in range(model.n_obs):
             pairs = rng.dirichlet(np.ones(model.n_states), size=(2, n_pairs))
             for z2 in np.flatnonzero(block_of[a, z]):
-                (y1, y2), _, live = bayes_posterior(pairs @ blocks[block_of[a, z, z2]])
+                (y1, y2), _, live = (v.T for v in bayes_posterior((pairs @ blocks[block_of[a, z, z2]]).T))
                 live = live.all(axis=0)
                 if not np.any(live):
                     continue
@@ -140,6 +143,7 @@ class X0SweepResult:
     candidates: np.ndarray
     theta2_by_m: dict
     converged_by_m: dict     # M -> one bool per candidate: did stage one converge
+    scaled: bool             # did the fits after the first run whitened by its information
     theta1_by_m: dict | None
     theta1_spreads: list | None
 
@@ -170,7 +174,12 @@ def x0_sweep_estimate(
     fitted on that layout with the first M steps dropped from the objective;
     the spread is the 2-norm diameter of the dynamics estimates for one
     burn-in M. Each fit starts from the previous estimate, and whether each
-    converged is recorded. With refit_rewards the layout is filtered at each
+    converged is recorded. The first fit's observed information
+    (stage1_information, 2 n_u passes) is measured once; when it is positive
+    definite every later fit, over all candidates and burn-ins, runs L-BFGS
+    whitened by it (stage1_fit_theta2's information) and scaled is set, so a
+    chained fit no longer relearns the curvature it had one fit earlier.
+    With refit_rewards the layout is filtered at each
     estimate, and the reward stage is rerun on it cut at the burn-in
     (FilteredDataset.tail); the reward spread is recorded too.
     """
@@ -207,13 +216,18 @@ def x0_sweep_estimate(
     converged_by_m: dict[int, list] = {}
     theta1_by_m: dict[int, np.ndarray] = {}
     theta1_spreads: list[float] = []
-    fit_config = config
+    # the first fit's information is measured once, and only if a fit follows it
+    fit_config, information, measure = config, None, len(m_values) * len(priors) > 1
     for m in m_values:
         vecs = []
         converged_by_m[m] = []
         theta1_vecs = []
         for prior in priors:
-            res = stage1_fit_theta2(prior, family, fit_config, burn_in=m)
+            res = stage1_fit_theta2(prior, family, fit_config, burn_in=m, information=information)
+            if measure:
+                measure, information = False, stage1_information(prior, family, res.theta2, burn_in=m)
+                if _whitener(information) is None:
+                    information = None
             fit_config = dataclasses.replace(config, theta2_init=tuple(res.theta2))
             vecs.append(np.asarray(res.theta2, dtype=np.float64).ravel())
             converged_by_m[m].append(res.converged)
@@ -233,6 +247,7 @@ def x0_sweep_estimate(
         candidates=candidates,
         theta2_by_m=theta2_by_m,
         converged_by_m=converged_by_m,
+        scaled=information is not None,
         theta1_by_m=theta1_by_m if refit_rewards else None,
         theta1_spreads=theta1_spreads if refit_rewards else None,
     )
@@ -284,8 +299,8 @@ def two_period_identification_probe(
     marg_a = model_a.kernel.sum(axis=-1)
     marg_b = model_b.kernel.sum(axis=-1)
     # First-period posteriors and observation probabilities, (z0, a0, z1, s').
-    post_a, sig0_a, live_a = bayes_posterior(np.einsum("s,azswt->zawt", xs, model_a.kernel))
-    post_b, sig0_b, live_b = bayes_posterior(np.einsum("s,azswt->zawt", xs, model_b.kernel))
+    post_a, sig0_a, live_a = (v.T for v in bayes_posterior(np.einsum("s,azswt->zawt", xs, model_a.kernel).T))
+    post_b, sig0_b, live_b = (v.T for v in bayes_posterior(np.einsum("s,azswt->zawt", xs, model_b.kernel).T))
     diff0 = np.abs(sig0_a - sig0_b) > tol
     rank1_pair = _is_rank1(model_a, tol) and _is_rank1(model_b, tol)
     if np.any(diff0):

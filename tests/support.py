@@ -143,7 +143,7 @@ def forward_tangent_score(kernel_blocks, data, burn_in: int = 0) -> np.ndarray:
     for t in range(data.acts.shape[1]):
         trans, d_trans = blocks[rows[:, t]], d_blocks[rows[:, t]]
         d_numer = np.einsum("bju,bjk->bku", dx, trans) + np.einsum("bj,bjku->bku", x, d_trans)
-        x, sig, live = bayes_posterior(np.einsum("bj,bjk->bk", x, trans))
+        x, sig, live = (v.T for v in bayes_posterior(np.einsum("bj,bjk->bk", x, trans).T))
         live &= steps[:, t]
         d_numer[~live] = 0.0
         d_sig = d_numer.sum(axis=1)

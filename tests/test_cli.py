@@ -277,6 +277,7 @@ def test_config_file_merging(tiny_dataset, tmp_path):
     payload = json.loads(report.read_text())
     assert payload["config"]["grid_resolution"] == 31
     assert payload["converged"] == {"1": [True] * 3, "2": [True] * 3}
+    assert payload["scaled"] in (True, False)
 
 
 def test_report_embeds_the_whole_config(tiny_dataset, tmp_path):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import itertools
 
 import numpy as np
@@ -433,3 +434,50 @@ def test_pseudo_log_likelihood_matches_pointwise():
         for t in range(h.horizon):
             want += float(np.log(ccp(q, int(h.obs[t]), beliefs[t])[int(h.acts[t])]))
     assert got == pytest.approx(want, abs=1e-10)
+
+
+def _pin_cases(ref_params):
+    """(name, model, data, kernel_blocks) for the filter-pass pin: unequal horizons throughout."""
+    hs = simulate(ref_params, SimConfig(30, 24, seed=5, grid_resolution=21)).histories
+    horizons = np.random.default_rng(5).integers(10, 25, size=len(hs))
+    hs = [History(h.x0, h.obs[: t + 1], h.acts[:t]) for h, t in zip(hs, horizons)]
+    cases = []
+    for n_conditions in (2, 1):
+        family = EngineFamily(n_conditions=n_conditions)
+        flat = hs if n_conditions == 2 else [History(Belief(np.ones(1)), h.obs, h.acts) for h in hs]
+        u0 = family.theta2_to_unconstrained(family.default_theta2())
+        u = u0 + np.linspace(-0.5, 0.5, u0.size)
+        model = family.build_model(family.default_theta1(), family.theta2_from_unconstrained(u))
+        data = DatasetBlocks.from_histories(flat, family)
+        cases.append((f"engine K={n_conditions}", model, data, family.kernel_blocks(u), (0, 8)))
+    # a 3-state sparse table with one reachable block zeroed: its moves are
+    # floored in the penalized score, while the dense model filters them
+    m = sparse_random_model(seed=82, n_states=3)
+    rng = np.random.default_rng(83)
+    rand = [simulate_crude(m, rng, t) for t in (4, 9, 6, 12, 12)]
+    block_of, blocks = block_table(m.kernel)
+    blocks[block_of[rand[0].acts[1], rand[0].obs[1], rand[0].obs[2]]] = 0.0
+    d_blocks = blocks[..., None] * rng.standard_normal(blocks.shape + (4,))
+    data = DatasetBlocks.from_histories(rand, m)
+    cases.append(("sparse 3-state", m, data, (block_of, blocks, d_blocks), (0, 3)))
+    return cases
+
+
+def _pass_digest(model, data, kernel_blocks, burn_ins) -> str:
+    fps = filter_dataset(model, data)
+    h = hashlib.sha256(fps.beliefs.tobytes() + fps.sigmas.tobytes())
+    for burn_in in burn_ins:
+        value, score = observation_score(kernel_blocks, data, burn_in, penalize=True)
+        h.update(np.float64(value).tobytes() + score.tobytes())
+    return h.hexdigest()
+
+
+def test_filter_pass_bytes_frozen(ref_params):
+    # filter_dataset's beliefs and sigmas and observation_score's value and
+    # score, bit for bit, on both engine sizes and a sparse random table
+    digests = {name: _pass_digest(*rest) for name, *rest in _pin_cases(ref_params)}
+    assert digests == {
+        "engine K=2": "1b0330f1053ecd6d046e07a35309eacd5231c467914eede00faa5d6f92bab44c",
+        "engine K=1": "0c385c702dfee184488736279a4a7a38758602b1a559c1b55485f0a11a41a99a",
+        "sparse 3-state": "9567708286ecbb4a577470011f9163236b1a5be300a8a7342531c3dd2971f8d8",
+    }

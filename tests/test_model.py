@@ -99,7 +99,7 @@ def test_bayes_posterior_matches_scalar_update_and_floors_dead_rows():
     xs = rng.dirichlet(np.ones(3), size=4)
     xs[0] = [0.0, 0.0, 1.0]
     numer = np.einsum("bs,kst->kbt", xs, blocks[1:])
-    beliefs, sig, live = bayes_posterior(numer)
+    beliefs, sig, live = (v.T for v in bayes_posterior(numer.T))
     for k in range(z.size):
         for b in range(xs.shape[0]):
             s_ref = sigma(m, z2[k], z[k], xs[b], a[k])

@@ -22,9 +22,12 @@ from spe import (
     eta_table,
     filter_dataset,
     lambda_update,
+    observation_loglik,
+    observation_score,
     reference_params,
     simulate,
     stage1_fit_theta2,
+    stage1_information,
     stage2_policy_gradient,
     two_period_identification_probe,
     x0_sweep_estimate,
@@ -211,25 +214,111 @@ def test_sweep_validation(ref_params):
         x0_sweep_estimate(three_states, family, m_values=(1,))
 
 
-def test_sweep_prior_travels_on_the_histories(ref_params):
+@pytest.fixture(scope="module")
+def fleet7(ref_params):
+    """100 x 60 histories whose first sweep fit leaves the symmetric start, so its information is positive definite."""
+    return simulate(ref_params, SimConfig(100, 60, seed=7)).histories
+
+
+def _layouts(histories, family, cands):
+    """The histories rebased onto each candidate and laid out, one layout per candidate."""
+    return [
+        DatasetBlocks.from_histories([History(Belief(c), h.obs, h.acts) for h in histories], family)
+        for c in cands
+    ]
+
+
+def test_sweep_prior_travels_on_the_histories(fleet7):
     # candidate c's fit is stage 1 on the histories rebased onto c and laid
-    # out, started from the previous candidate's estimate: the sweep's one
-    # layout with c as its x0 is that layout, bit for bit
-    sim = simulate(ref_params, SimConfig(12, 20, seed=7))
+    # out, started from the previous candidate's estimate and whitened by the
+    # first fit's information: the sweep's one layout with c as its x0 is
+    # that layout, bit for bit
     family = EngineFamily()
     cfg = EstimatorConfig(grid_resolution=31, stage1_max_iters=120)
     cands = np.array([[0.8, 0.2], [0.2, 0.8]])
-    res = x0_sweep_estimate(sim.histories, family, cfg, m_values=(2,), candidates=cands)
-    rebased = [
-        DatasetBlocks.from_histories([History(Belief(c), h.obs, h.acts) for h in sim.histories], family)
-        for c in cands
-    ]
+    res = x0_sweep_estimate(fleet7, family, cfg, m_values=(2,), candidates=cands)
+    rebased = _layouts(fleet7, family, cands)
     first = stage1_fit_theta2(rebased[0], family, cfg, burn_in=2)
     np.testing.assert_array_equal(res.theta2_by_m[2][0], first.theta2)
     warm = dataclasses.replace(cfg, theta2_init=tuple(first.theta2))
-    second = stage1_fit_theta2(rebased[1], family, warm, burn_in=2)
+    information = stage1_information(rebased[0], family, first.theta2, burn_in=2)
+    second = stage1_fit_theta2(rebased[1], family, warm, burn_in=2, information=information)
     np.testing.assert_array_equal(res.theta2_by_m[2][1], second.theta2)
     assert res.converged_by_m == {2: [first.converged, second.converged]}
+    assert res.scaled
+
+
+def test_stage1_information_is_the_hessian_of_the_value(fleet7):
+    # central differences of the exact score against second differences of
+    # the value, at a stage-1 estimate
+    family = EngineFamily()
+    data = _layouts(fleet7, family, [[0.8, 0.2]])[0]
+    fit = stage1_fit_theta2(data, family, EstimatorConfig(stage1_max_iters=120), burn_in=2)
+    info = stage1_information(data, family, fit.theta2, burn_in=2)
+    u, h = family.theta2_to_unconstrained(fit.theta2), 1e-3
+
+    def value(v):
+        return observation_score(family.kernel_blocks(v)[:2] + (None,), data, 2, penalize=True)[0]
+
+    steps = h * np.eye(u.size)
+    hessian = np.array([
+        [
+            value(u + ei + ej) - value(u + ei - ej) - value(u - ei + ej) + value(u - ei - ej)
+            for ej in steps
+        ]
+        for ei in steps
+    ]) / (4.0 * h * h)
+    np.testing.assert_array_equal(info, info.T)
+    assert np.abs(info + hessian).max() <= 1e-5 * np.abs(info).max()
+    assert np.linalg.eigvalsh(info).min() > 0.0
+
+
+def test_scaled_chain_reaches_the_plain_chain_in_fewer_passes(fleet7, monkeypatch):
+    # every whitened fit ends at least as high as the plain chained fit, and
+    # the chain, with the information's 2 n_u passes, costs fewer passes
+    family = EngineFamily()
+    cfg = EstimatorConfig(grid_resolution=31, stage1_max_iters=120)
+    p = np.linspace(0.9, 0.1, 5)
+    cands = np.stack([p, 1.0 - p], axis=1)
+    passes, fit = [], sensitivity.stage1_fit_theta2
+
+    def counted(*args, **kwargs):
+        result = fit(*args, **kwargs)
+        passes.append(result.n_evals)
+        return result
+
+    monkeypatch.setattr(sensitivity, "stage1_fit_theta2", counted)
+    res = x0_sweep_estimate(fleet7, family, cfg, m_values=(2,), candidates=cands)
+    assert res.scaled
+    plain, warm = [], cfg
+    for layout in _layouts(fleet7, family, cands):
+        plain.append(fit(layout, family, warm, burn_in=2))
+        warm = dataclasses.replace(cfg, theta2_init=tuple(plain[-1].theta2))
+    for layout, theta2, ref in zip(_layouts(fleet7, family, cands), res.theta2_by_m[2], plain):
+        reached = observation_loglik(family.build_kernel(theta2), layout, 2, penalize=True)
+        assert reached >= ref.obs_loglik - 1e-6
+    n_u = family.theta2_to_unconstrained(family.default_theta2()).size
+    assert sum(passes) + 2 * n_u < sum(r.n_evals for r in plain)
+
+
+def test_sweep_runs_unscaled_where_the_information_is_not_positive_definite(ref_params):
+    # this fleet's first fit stays at the symmetric start, where the
+    # persistences are not identified: the chain is the plain one, bit for bit
+    sim = simulate(ref_params, SimConfig(12, 20, seed=7))
+    family = EngineFamily()
+    cfg = EstimatorConfig(grid_resolution=31, stage1_max_iters=120)
+    cands = np.array([[0.8, 0.2], [0.2, 0.8], [0.5, 0.5]])
+    res = x0_sweep_estimate(sim.histories, family, cfg, m_values=(2, 3), candidates=cands)
+    assert not res.scaled
+    warm = cfg
+    for m in (2, 3):
+        for layout, row in zip(_layouts(sim.histories, family, cands), res.theta2_by_m[m]):
+            theta2 = stage1_fit_theta2(layout, family, warm, burn_in=m).theta2
+            np.testing.assert_array_equal(row, theta2)
+            warm = dataclasses.replace(cfg, theta2_init=tuple(theta2))
+    # stage one refuses such a matrix as its metric
+    with pytest.raises(InvalidParams, match="positive definite"):
+        stage1_fit_theta2(layout, family, cfg, burn_in=2, information=-np.eye(theta2.size - 2))
 
 
 def test_sweep_lays_the_dataset_out_once(ref_params, monkeypatch):
@@ -262,6 +351,24 @@ def test_sweep_lays_the_dataset_out_once(ref_params, monkeypatch):
             refit_rewards=refit,
         )
         assert (len(layouts), len(filters)) == (1, n_filters)
+
+
+def test_sweep_measures_the_information_once_and_only_before_a_later_fit(ref_params, monkeypatch):
+    # 2 n_u passes buy nothing when no fit follows the first
+    calls, measure = [], sensitivity.stage1_information
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return measure(*args, **kwargs)
+
+    monkeypatch.setattr(sensitivity, "stage1_information", counted)
+    sim = simulate(ref_params, SimConfig(6, 12, seed=3))
+    cfg = EstimatorConfig(grid_resolution=11, stage1_max_iters=5)
+    for cands, m_values, n_calls in (([[0.5, 0.5]], (2,), 0), ([[0.9, 0.1], [0.1, 0.9]], (1, 2), 1)):
+        calls.clear()
+        res = x0_sweep_estimate(sim.histories, EngineFamily(), cfg, m_values=m_values, candidates=cands)
+        assert len(calls) == n_calls
+        assert not res.scaled or n_calls == 1
 
 
 def test_sweep_refuses_burn_in_values_that_are_not_integers(ref_params, monkeypatch):
