@@ -127,7 +127,7 @@ def _usage_masses(inc: np.ndarray, n_bins: int) -> np.ndarray:
     return np.where(top, np.moveaxis(tail, 0, 1), np.moveaxis(inc, 0, 1))
 
 
-def _engine_blocks(stay: np.ndarray, increments: np.ndarray, n_bins: int):
+def _engine_blocks(stay: np.ndarray, increments: np.ndarray, n_bins: int) -> np.ndarray:
     """Block table of the joint kernel: blocks[block_of[a, z, z']] is kernel[a, z, :, z', :].
 
     Row 0 is the zero block, row 1 replacing (a reset to (0, 0)), then one
@@ -136,11 +136,7 @@ def _engine_blocks(stay: np.ndarray, increments: np.ndarray, n_bins: int):
     keep = _usage_masses(increments, n_bins)[..., None] * stay      # (z, d, s, s')
     blocks = np.concatenate([np.zeros((2,) + stay.shape), keep.reshape((-1,) + stay.shape)])
     blocks[1, :, 0] = 1.0
-    zz, dd = np.nonzero(np.arange(n_bins)[:, None] + np.arange(N_INCREMENTS) < n_bins)
-    block_of = np.zeros((2, n_bins, n_bins), dtype=np.int64)
-    block_of[0, zz, zz + dd] = 2 + zz * N_INCREMENTS + dd
-    block_of[1, :, 0] = 1
-    return block_of, blocks
+    return blocks
 
 
 def build_engine_model(params: EngineParams, discount: float = 0.95) -> PomdpModel:
@@ -203,6 +199,11 @@ class EngineFamily:
         self.discount = discount
         self.n_states = int(n_conditions)
         self._n_pers = 0 if n_conditions == 1 else self.n_states
+        zz, dd = np.nonzero(np.arange(n_mileage_bins)[:, None] + np.arange(N_INCREMENTS) < n_mileage_bins)
+        self._block_of = np.zeros((2, n_mileage_bins, n_mileage_bins), dtype=np.int64)
+        self._block_of[0, zz, zz + dd] = 2 + zz * N_INCREMENTS + dd
+        self._block_of[1, :, 0] = 1
+        self._block_of.flags.writeable = False
 
     @property
     def n_obs(self) -> int:
@@ -274,14 +275,15 @@ class EngineFamily:
 
     def build_kernel(self, theta2: np.ndarray) -> np.ndarray:
         pers, increments = self._split(theta2)
-        block_of, blocks = _engine_blocks(_stay_matrix(pers), increments, self.n_mileage_bins)
-        return np.ascontiguousarray(blocks[block_of].transpose(0, 1, 3, 2, 4))
+        blocks = _engine_blocks(_stay_matrix(pers), increments, self.n_mileage_bins)
+        return np.ascontiguousarray(blocks[self._block_of].transpose(0, 1, 3, 2, 4))
 
     def kernel_blocks(self, u: np.ndarray):
         """(block_of, blocks, d_blocks) of build_kernel(theta2_from_unconstrained(u)).
 
         blocks[block_of[a, z, z']] is kernel[a, z, :, z', :] bit for bit, and
         d_blocks of the same row its derivative in u, shape (s, s', n_u).
+        block_of is the family's read-only table, the same array every call.
         """
         pers, inc = self._split(self.theta2_from_unconstrained(u))
         stay, n_p, k = _stay_matrix(pers), self._n_pers, N_INCREMENTS - 1
@@ -292,12 +294,12 @@ class EngineFamily:
         for s in range(self.n_states):
             d_inc[s, :, n_p + s * k : n_p + (s + 1) * k] = _anchored_softmax_jacobian(inc[s])
         n = self.n_mileage_bins
-        block_of, blocks = _engine_blocks(stay, inc, n)
+        blocks = _engine_blocks(stay, inc, n)
         mass, d_mass = _usage_masses(inc, n), _usage_masses(d_inc, n)
         d_keep = d_mass[:, :, :, None, :] * stay[:, :, None] + mass[..., None, None] * d_stay
         d_blocks = np.zeros(blocks.shape + (d_stay.shape[-1],))
         d_blocks[2:] = d_keep.reshape(d_blocks[2:].shape)
-        return block_of, blocks, d_blocks
+        return self._block_of, blocks, d_blocks
 
     def describe(self, theta1: np.ndarray, theta2: np.ndarray) -> dict:
         pers, inc = self._split(theta2)

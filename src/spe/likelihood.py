@@ -7,17 +7,18 @@ the whole likelihood is a function of the model parameters only.
 
 A fit lays its histories out once, as one padded batch (DatasetBlocks) whose
 x0 holds every history's initial belief, so an assumed prior is the same
-layout with another x0. The layout also keeps where each step reads its
-kernel block, built once per block structure; every pass runs time-major on
-contiguous (T, ..., N) buffers, a few ufunc calls per step, with the Bayes
-rule of model.bayes_posterior. filter_dataset, run once at the dynamics
-estimate, returns the beliefs in that layout (FilteredDataset): its observation term
-is the report's, and its decision rows (ChoicePoints) are stage two's. Stage
+layout with another x0. When it is made, the layout indexes the kernel cells
+(a, z, z') its steps visit, so a pass reads any block table of the kernel at
+those cells alone; every pass runs time-major on contiguous (T, ..., N)
+buffers, a few ufunc calls per step, with the Bayes rule of
+model.bayes_posterior. filter_dataset, run once at the dynamics estimate,
+returns the beliefs in that layout (FilteredDataset): its observation term is
+the report's, and its decision rows (ChoicePoints) are stage two's. Stage
 one's score in the dynamics parameters is Fisher's identity, the smoothed
 expectation of d log K over each step's hidden pair, evaluated by a forward
 filter pass and a reverse pass of reverse conditionals (Cappe, Moulines and
-Ryden 2005, ch. 3 and sec. 10.1.3), so its cost does not grow with the
-number of parameters.
+Ryden 2005, ch. 3 and sec. 10.1.3), so its cost does not grow with the number
+of parameters.
 
 For estimation the beliefs are frozen at the dynamics estimate and only the
 choice term varies with the reward parameters; its gradient uses the score
@@ -42,7 +43,7 @@ from .model import History, PomdpModel, _state_sum, bayes_posterior, block_table
 PRIOR_TERM = 0.0  # initial beliefs are treated as data, not parameters
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class DatasetBlocks:
     """Histories as one padded batch, T the longest horizon.
 
@@ -50,13 +51,34 @@ class DatasetBlocks:
     its horizon, its initial belief x0 (N, s) and horizons (N,). Likelihood
     terms are summed step by step over all rows; for equal-length histories
     this is dataset order within each step.
+
+    The step structure is derived from obs, acts and horizons whenever a
+    layout is made, dataclasses.replace included: steps (N, T) masks the
+    steps inside each horizon, cells (a, z, z') are the sorted distinct
+    kernel cells they visit, and index (T, s*s', N) locates entry q of the
+    block of history i's step t in a table of those cells' blocks and an
+    identity block after them, laid out (s*s', cells + 1) and flattened.
     """
 
     obs: np.ndarray
     acts: np.ndarray
     x0: np.ndarray
     horizons: np.ndarray
-    _step_index: dict = field(default_factory=dict, repr=False)
+    steps: np.ndarray = field(init=False, repr=False)
+    cells: tuple = field(init=False, repr=False)
+    index: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        steps = np.arange(self.acts.shape[1]) < self.horizons[:, None]
+        n_a, n_z = int(self.acts.max(initial=0)) + 1, int(self.obs.max(initial=0)) + 1
+        pad = n_a * n_z * n_z           # coded after every cell, so padding reads the last row
+        codes = np.where(steps, (self.acts * n_z + self.obs[:, :-1]) * n_z + self.obs[:, 1:], pad).T
+        found, cell_of = np.unique(codes, return_inverse=True)
+        cells = np.unravel_index(found[found < pad], (n_a, n_z, n_z))
+        n_q = self.x0.shape[1] ** 2
+        index = cell_of.reshape(steps.T.shape)[:, None, :] + (cells[0].size + 1) * np.arange(n_q)[:, None]
+        for name, value in (("steps", steps), ("cells", cells), ("index", index)):
+            object.__setattr__(self, name, value)
 
     @classmethod
     def from_histories(cls, histories: list[History], model) -> "DatasetBlocks":
@@ -69,36 +91,6 @@ class DatasetBlocks:
             h.validate_against(model)
             obs[i, : h.obs.size], acts[i, : h.horizon], x0[i] = h.obs, h.acts, h.x0.probs
         return cls(obs, acts, x0, horizons)
-
-    @property
-    def steps(self) -> np.ndarray:
-        """(N, T) mask of the steps inside each history's horizon."""
-        return np.arange(self.acts.shape[1]) < self.horizons[:, None]
-
-    def step_index(self, block_of: np.ndarray, n_blocks: int):
-        """Where each step reads its kernel block, and the (T, N) step mask.
-
-        The index (T, s*s', N) points into a block table of n_blocks rows
-        and an identity row after them, transposed to (s*s', n_blocks + 1)
-        and flattened: entry (t, q, i) is entry q of the block of history
-        i's step t, the identity at padding steps. Built once per block
-        structure and kept; dataclasses.replace hands the kept index to a
-        copy, which uses it while obs, acts and horizons are the same arrays.
-        """
-        kept = self._step_index
-        arrays = (self.obs, self.acts, self.horizons)
-        if not (
-            kept
-            and all(a is b for a, b in zip(kept["arrays"], arrays))
-            and kept["n_blocks"] == n_blocks
-            and np.array_equal(kept["block_of"], block_of)
-        ):
-            steps, obs = np.ascontiguousarray(self.steps.T), self.obs.T
-            rows = np.where(steps, block_of[self.acts.T, obs[:-1], obs[1:]], n_blocks)
-            n_q = self.x0.shape[1] ** 2
-            index = np.ascontiguousarray(rows[:, None, :] + (n_blocks + 1) * np.arange(n_q)[:, None])
-            kept.update(arrays=arrays, n_blocks=n_blocks, block_of=block_of.copy(), index=index, steps=steps)
-        return kept["index"], kept["steps"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,16 +124,16 @@ def _scan(kernel_blocks, data: DatasetBlocks, burn_in: int, penalize: bool, stor
 
     kernel_blocks = (block_of, blocks, d_blocks): a block table as in
     model.block_table, and d_blocks of the same row its derivative in
-    parameters u, or None. Padding steps read an identity block appended to
-    the table; their sigma is set to 1 (the identity step's is 1 only to an
-    ulp). Every history starts at its initial belief in data.x0. beliefs and
-    sigmas are None unless store is set. With penalize=True a vanished
-    observation contributes log(SIGMA_FLOOR) and filtering continues from a
-    uniform belief; otherwise it raises.
+    parameters u, or None. Only the rows of data.cells are read; padding steps
+    read an identity block, and their sigma is set to 1 (the identity step's
+    is 1 only to an ulp). Every history starts at its initial belief in
+    data.x0. beliefs and sigmas are None unless store is set. With
+    penalize=True a vanished observation contributes log(SIGMA_FLOOR) and
+    filtering continues from a uniform belief; otherwise it raises.
 
     The forward pass is time-major, with histories on the last axis: it
-    gathers every step's block K_t (T, s, s', b) at once (data.step_index)
-    and stores x_t, numer_t = x_t K_t, sigma_t and the live steps, each step
+    gathers every step's block K_t (T, s, s', b) at once (data.index) and
+    stores x_t, numer_t = x_t K_t, sigma_t and the live steps, each step
     a few ufunc calls on contiguous (s, b) slices. With d_blocks a reverse
     pass returns the score d obs_loglik/du by Fisher's identity: the sum over
     steps and hidden pairs (j, k) of W_t(j, k) d log K_t(j, k), where from
@@ -155,8 +147,9 @@ def _scan(kernel_blocks, data: DatasetBlocks, burn_in: int, penalize: bool, stor
     the scaled backward message, which grows like 1 / x_t(j), is not. A
     floored or padding step breaks the chain (x_{t+1} is a constant there),
     and its W_t and h_t are 0. d log K = d_blocks / blocks reads 0 where
-    blocks is 0, so d_blocks must vanish there. W is summed per block-table
-    row before it meets d log K, so the cost does not grow with n_u.
+    blocks is 0, so d_blocks must vanish there. W is summed per cell, then
+    per block-table row, before it meets d log K, so the cost does not grow
+    with n_u.
     """
     if burn_in > 0 and np.any(data.horizons <= burn_in):
         raise InvalidParams(
@@ -164,10 +157,10 @@ def _scan(kernel_blocks, data: DatasetBlocks, burn_in: int, penalize: bool, stor
         )
     block_of, blocks, d_blocks = kernel_blocks
     b, horizon = data.acts.shape
-    n_s, n_rows = data.x0.shape[1], blocks.shape[0] + 1
-    index, steps = data.step_index(block_of, blocks.shape[0])          # (T, s*s', b), (T, b)
-    table = np.concatenate([blocks, np.eye(n_s)[None]]).reshape(n_rows, -1)
-    trans = np.take(table.T.ravel(), index).reshape(horizon, n_s, n_s, b)
+    n_s, n_rows, steps = data.x0.shape[1], blocks.shape[0] + 1, data.steps.T
+    rows = np.append(block_of[data.cells], n_rows - 1)                  # each cell's row, the identity's last
+    table = np.concatenate([blocks, np.eye(n_s)[None]])[rows].reshape(rows.size, -1)
+    trans = np.take(table.T.ravel(), data.index).reshape(horizon, n_s, n_s, b)
     xs, numer = np.empty((horizon + 1, n_s, b)), np.empty((horizon, n_s, b))
     sigmas, live = np.empty((horizon, b)), np.empty((horizon, b), dtype=bool)
     xs[0] = data.x0.T
@@ -196,7 +189,9 @@ def _scan(kernel_blocks, data: DatasetBlocks, burn_in: int, penalize: bool, stor
             w[t] *= h
             w[t] += np.multiply(xk[t], c, out=products)                  # W_t
             _state_sum(w[t].transpose(1, 0, 2), out=h)
-        per_row = np.bincount(index.ravel(), w.ravel(), n_rows * n_s * n_s).reshape(-1, n_rows)[:, :-1]
+        per_cell = np.bincount(data.index.ravel(), w.ravel(), rows.size * n_s * n_s)
+        to_row = (rows + n_rows * np.arange(n_s * n_s)[:, None]).ravel()
+        per_row = np.bincount(to_row, per_cell, n_rows * n_s * n_s).reshape(-1, n_rows)[:, :-1]
         k_u = blocks[..., None]
         d_log = np.divide(d_blocks, k_u, out=np.zeros_like(d_blocks), where=k_u > 0.0)
         score = np.einsum("qr,rqu->u", per_row, d_log.reshape(k_u.shape[0], n_s * n_s, -1))

@@ -169,19 +169,20 @@ def x0_sweep_estimate(
 ) -> X0SweepResult:
     """Refit the dynamics under a grid of assumed initial beliefs.
 
-    The histories are laid out once. Each candidate belief becomes the
-    layout's x0, the initial belief of every history, and stage one is
-    fitted on that layout with the first M steps dropped from the objective;
-    the spread is the 2-norm diameter of the dynamics estimates for one
-    burn-in M. Each fit starts from the previous estimate, and whether each
-    converged is recorded. The first fit's observed information
-    (stage1_information, 2 n_u passes) is measured once; when it is positive
-    definite every later fit, over all candidates and burn-ins, runs L-BFGS
-    whitened by it (stage1_fit_theta2's information) and scaled is set, so a
-    chained fit no longer relearns the curvature it had one fit earlier.
-    With refit_rewards the layout is filtered at each
-    estimate, and the reward stage is rerun on it cut at the burn-in
-    (FilteredDataset.tail); the reward spread is recorded too.
+    The histories are laid out once. Each fit copies that layout with its
+    candidate belief as x0, the initial belief of every history, when it
+    starts, so one candidate's layout and step index are held at a time. Stage
+    one is fitted on it with the first M steps dropped from the objective; the
+    spread is the 2-norm diameter of the dynamics estimates for one burn-in M,
+    and the burn-ins must be distinct. Each fit starts from the previous
+    estimate, and whether each converged is recorded. The first fit's observed
+    information (stage1_information, 2 n_u passes) is measured once; when it
+    is positive definite every later fit, over all candidates and burn-ins,
+    runs L-BFGS whitened by it (stage1_fit_theta2's information) and scaled is
+    set, so a chained fit no longer relearns the curvature it had one fit
+    earlier. With refit_rewards the layout is filtered at each estimate, and
+    the reward stage is rerun on it cut at the burn-in (FilteredDataset.tail);
+    the reward spread is recorded too.
     """
     _require_decisions(histories)
     if config is None:
@@ -202,14 +203,14 @@ def x0_sweep_estimate(
     if any(isinstance(m, bool) or not isinstance(m, numbers.Integral) for m in m_values):
         raise InvalidParams(f"burn-in values must be integers, got {list(m_values)!r}")
     m_values = [int(m) for m in m_values]
-    if any(m < 1 for m in m_values):
-        raise InvalidParams("burn-in values must be at least 1")
+    if any(m < 1 for m in m_values) or len(set(m_values)) < len(m_values):
+        raise InvalidParams(f"burn-in values must be distinct and at least 1, got {m_values}")
     data = DatasetBlocks.from_histories(histories, family)
     if any(m >= data.horizons.min() for m in m_values):
         raise InvalidParams(
             f"burn-in must be shorter than the shortest horizon {data.horizons.min()}"
         )
-    priors = [dataclasses.replace(data, x0=np.tile(Belief(c).probs, (len(histories), 1))) for c in candidates]
+    x0s = [np.tile(Belief(c).probs, (len(histories), 1)) for c in candidates]
 
     spreads = []
     theta2_by_m: dict[int, np.ndarray] = {}
@@ -217,12 +218,13 @@ def x0_sweep_estimate(
     theta1_by_m: dict[int, np.ndarray] = {}
     theta1_spreads: list[float] = []
     # the first fit's information is measured once, and only if a fit follows it
-    fit_config, information, measure = config, None, len(m_values) * len(priors) > 1
+    fit_config, information, measure = config, None, len(m_values) * len(x0s) > 1
     for m in m_values:
         vecs = []
         converged_by_m[m] = []
         theta1_vecs = []
-        for prior in priors:
+        for x0 in x0s:
+            prior = dataclasses.replace(data, x0=x0)
             res = stage1_fit_theta2(prior, family, fit_config, burn_in=m, information=information)
             if measure:
                 measure, information = False, stage1_information(prior, family, res.theta2, burn_in=m)
@@ -234,6 +236,7 @@ def x0_sweep_estimate(
             if refit_rewards:
                 filtered = filter_dataset(family.build_model(family.default_theta1(), res.theta2), prior)
                 theta1_vecs.append(stage2_policy_gradient(family, res.theta2, config, filtered.tail(m)).theta1)
+                del filtered    # it holds this candidate's layout, which the next fit no longer needs
         vecs = np.stack(vecs)
         theta2_by_m[m] = vecs
         spreads.append(_diameter(vecs))

@@ -474,6 +474,16 @@ def test_sensitivity_nonconvergence_exit_code(tiny_dataset, tmp_path, capsys):
     assert {m: np.shape(rows) for m, rows in payload["theta2_by_m"].items()} == {"1": (3, 10), "2": (3, 10)}
 
 
+def test_sensitivity_refuses_a_repeated_burn_in(tiny_dataset, tmp_path, capsys):
+    # --m 2,2 used to fit every candidate twice and write two "2," rows
+    csv_path = tmp_path / "curve.csv"
+    rc = run(["sensitivity", "--data", tiny_dataset, "--m", "2,2", "--out", csv_path])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "distinct" in err
+    assert not csv_path.exists()
+
+
 def test_sensitivity_needs_a_candidate(tiny_dataset, tmp_path, capsys):
     rc = run(["sensitivity", "--data", tiny_dataset, "--m", "1", "--candidates", "0",
               "--out", tmp_path / "curve.csv"])

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import itertools
 
@@ -28,7 +29,7 @@ from spe import (
     simulate,
     solve,
 )
-from spe.likelihood import DatasetBlocks
+from spe.likelihood import DatasetBlocks, _scan
 from spe.model import SIGMA_FLOOR, block_table
 from support import (
     apply_lambda_M,
@@ -419,6 +420,60 @@ def test_dataset_is_laid_out_once_per_fit():
         ("sensitivity.py", "x0_sweep_estimate", "DatasetBlocks.from_histories"),
     ]
     assert "FilteredPath" not in spe.__all__
+
+
+def test_layout_indexes_the_cells_its_steps_visit():
+    # cells are the distinct (a, z, z') of the steps inside the horizons, in
+    # sorted order; each step's index reads its cell's block, and padding
+    # steps read the identity row after the cells
+    m = sparse_random_model(seed=82, n_states=3)
+    rng = np.random.default_rng(84)
+    hs = [simulate_crude(m, rng, t) for t in (4, 9, 0, 12, 6)]
+    data = DatasetBlocks.from_histories(hs, m)
+    visited = sorted({(int(h.acts[t]), int(h.obs[t]), int(h.obs[t + 1])) for h in hs for t in range(h.horizon)})
+    assert list(zip(*(c.tolist() for c in data.cells))) == visited
+    n_cells, steps = len(visited), data.steps.T
+    cell_of = data.index[:, 0, :]
+    assert data.index.shape == (12, 9, 5)
+    np.testing.assert_array_equal(data.index, cell_of[:, None, :] + (n_cells + 1) * np.arange(9)[:, None])
+    assert np.all(cell_of[~steps] == n_cells)
+    for c, step_of in zip(data.cells, (data.acts.T, data.obs[:, :-1].T, data.obs[:, 1:].T)):
+        np.testing.assert_array_equal(c[cell_of[steps]], step_of[steps])
+
+
+def test_replaced_layout_derives_its_own_step_structure():
+    # dataclasses.replace makes the step structure anew from the histories it
+    # is given, and shares none of it: the copy filters as a fresh layout
+    m = random_model(seed=61, n_obs=3)
+    rng = np.random.default_rng(45)
+    hs = [simulate_crude(m, rng, t) for t in (2, 5, 7)]
+    other = [History(h.x0, o.obs, o.acts) for h, o in zip(hs, (simulate_crude(m, rng, t) for t in (6, 3, 1)))]
+    data, fresh = DatasetBlocks.from_histories(hs, m), DatasetBlocks.from_histories(other, m)
+    copy = dataclasses.replace(data, obs=fresh.obs, acts=fresh.acts, horizons=fresh.horizons)
+    for derived in (copy.steps, copy.index, *copy.cells):
+        assert not any(np.shares_memory(derived, kept) for kept in (data.steps, data.index, *data.cells))
+    table = _one_direction(m.kernel, m.kernel * rng.standard_normal(m.kernel.shape))
+    got, want = filter_dataset(m, copy), filter_dataset(m, fresh)
+    np.testing.assert_array_equal(got.beliefs, want.beliefs)
+    np.testing.assert_array_equal(got.sigmas, want.sigmas)
+    assert observation_score(table, copy)[0] == observation_score(table, fresh)[0]
+    np.testing.assert_array_equal(observation_score(table, copy)[1], observation_score(table, fresh)[1])
+
+
+def test_one_layout_reads_either_numbering_of_a_kernel(ref_params):
+    # the family's block table and model.block_table number one kernel's
+    # blocks differently; a layout read through each in turn filters alike
+    family = EngineFamily()
+    hs = simulate(ref_params, SimConfig(20, 15, seed=5, grid_resolution=21)).histories
+    data = DatasetBlocks.from_histories(hs, family)
+    u = np.linspace(-1.0, 1.0, family.theta2_to_unconstrained(family.default_theta2()).size)
+    tables = (family.kernel_blocks(u)[:2], block_table(family.build_kernel(family.theta2_from_unconstrained(u))))
+    assert not np.array_equal(tables[0][0], tables[1][0])
+    _, beliefs, sigmas, _ = _scan(tables[0] + (None,), data, 0, False, True)
+    for kernel_blocks in tables * 2:
+        _, other_beliefs, other_sigmas, _ = _scan(kernel_blocks + (None,), data, 0, False, True)
+        np.testing.assert_array_equal(other_beliefs, beliefs)
+        np.testing.assert_array_equal(other_sigmas, sigmas)
 
 
 def test_pseudo_log_likelihood_matches_pointwise():

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
 import hashlib
 
 import numpy as np
@@ -381,6 +382,46 @@ def test_sweep_refuses_burn_in_values_that_are_not_integers(ref_params, monkeypa
     for m_values in ((1.5,), (True,), (2, "3"), (np.float64(2.0),)):
         with pytest.raises(InvalidParams, match="must be integers"):
             x0_sweep_estimate(sim.histories, EngineFamily(), m_values=m_values)
+
+
+def test_sweep_refuses_repeated_burn_in_values(ref_params, monkeypatch):
+    # m_values=(2, 2) fitted every candidate twice, wrote two "2," rows to the
+    # CSV and kept only the second pass in theta2_by_m and converged_by_m
+    def no_work(*args, **kwargs):
+        raise AssertionError("fitting started with a repeated burn-in")
+
+    monkeypatch.setattr(sensitivity, "stage1_fit_theta2", no_work)
+    sim = simulate(ref_params, SimConfig(6, 12, seed=3, grid_resolution=11))
+    cfg = EstimatorConfig(grid_resolution=11, stage1_max_iters=5)
+    cands = np.array([[0.9, 0.1], [0.5, 0.5], [0.1, 0.9]])
+    for m_values in ((2, 2), (1, 2, 1)):
+        with pytest.raises(InvalidParams, match="distinct"):
+            x0_sweep_estimate(sim.histories, EngineFamily(), cfg, m_values=m_values, candidates=cands)
+
+
+@pytest.mark.parametrize("refit", [False, True])
+def test_sweep_holds_one_candidate_layout_at_a_time(ref_params, monkeypatch, refit):
+    # every layout keeps its own (T, s*s', N) step index, so the sweep makes a
+    # candidate's layout when it fits it: only the dataset's layout and that
+    # one are alive at a fit, however many candidates there are
+    def live_layouts():
+        gc.collect()
+        return sum(isinstance(o, DatasetBlocks) for o in gc.get_objects())
+
+    held, fit = [], sensitivity.stage1_fit_theta2
+
+    def counted(*args, **kwargs):
+        held.append(live_layouts() - before)
+        return fit(*args, **kwargs)
+
+    monkeypatch.setattr(sensitivity, "stage1_fit_theta2", counted)
+    sim = simulate(ref_params, SimConfig(6, 12, seed=3, grid_resolution=11))
+    cfg = EstimatorConfig(grid_resolution=11, stage1_max_iters=5, grad_norm_tol=1e-1, max_stage2_iters=1)
+    cands = np.array([[0.9, 0.1], [0.5, 0.5], [0.1, 0.9]])
+    before = live_layouts()
+    x0_sweep_estimate(sim.histories, EngineFamily(), cfg, m_values=(1, 2), candidates=cands, refit_rewards=refit)
+    assert len(held) == 6
+    assert max(held) <= 2
 
 
 def test_sweep_rank_one_dynamics_ignore_x0(ref_params):
