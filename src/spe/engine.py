@@ -127,13 +127,14 @@ def _usage_masses(inc: np.ndarray, n_bins: int) -> np.ndarray:
     return np.where(top, np.moveaxis(tail, 0, 1), np.moveaxis(inc, 0, 1))
 
 
-def _engine_blocks(stay: np.ndarray, increments: np.ndarray, n_bins: int) -> np.ndarray:
+def _engine_blocks(stay: np.ndarray, mass: np.ndarray) -> np.ndarray:
     """Block table of the joint kernel: blocks[block_of[a, z, z']] is kernel[a, z, :, z', :].
 
     Row 0 is the zero block, row 1 replacing (a reset to (0, 0)), then one
-    keep block per (z, d): usage mass under increments[s] times stay[s, s'].
+    keep block per (z, d): usage mass (z, d, s) as _usage_masses gives it,
+    times stay[s, s'].
     """
-    keep = _usage_masses(increments, n_bins)[..., None] * stay      # (z, d, s, s')
+    keep = mass[..., None] * stay                                   # (z, d, s, s')
     blocks = np.concatenate([np.zeros((2,) + stay.shape), keep.reshape((-1,) + stay.shape)])
     blocks[1, :, 0] = 1.0
     return blocks
@@ -275,7 +276,7 @@ class EngineFamily:
 
     def build_kernel(self, theta2: np.ndarray) -> np.ndarray:
         pers, increments = self._split(theta2)
-        blocks = _engine_blocks(_stay_matrix(pers), increments, self.n_mileage_bins)
+        blocks = _engine_blocks(_stay_matrix(pers), _usage_masses(increments, self.n_mileage_bins))
         return np.ascontiguousarray(blocks[self._block_of].transpose(0, 1, 3, 2, 4))
 
     def kernel_blocks(self, u: np.ndarray):
@@ -293,9 +294,9 @@ class EngineFamily:
             d_stay[s, :, s] = pers[s] * (1.0 - pers[s]) * np.where(np.arange(n_p) == s, 1.0, -1.0)
         for s in range(self.n_states):
             d_inc[s, :, n_p + s * k : n_p + (s + 1) * k] = _anchored_softmax_jacobian(inc[s])
-        n = self.n_mileage_bins
-        blocks = _engine_blocks(stay, inc, n)
-        mass, d_mass = _usage_masses(inc, n), _usage_masses(d_inc, n)
+        both = _usage_masses(np.concatenate([inc[..., None], d_inc], axis=-1), self.n_mileage_bins)
+        mass, d_mass = both[..., 0], both[..., 1:]
+        blocks = _engine_blocks(stay, mass)
         d_keep = d_mass[:, :, :, None, :] * stay[:, :, None] + mass[..., None, None] * d_stay
         d_blocks = np.zeros(blocks.shape + (d_stay.shape[-1],))
         d_blocks[2:] = d_keep.reshape(d_blocks[2:].shape)

@@ -10,8 +10,10 @@ x0 holds every history's initial belief, so an assumed prior is the same
 layout with another x0. When it is made, the layout indexes the kernel cells
 (a, z, z') its steps visit, so a pass reads any block table of the kernel at
 those cells alone; every pass runs time-major on contiguous (T, ..., N)
-buffers, a few ufunc calls per step, with the Bayes rule of
-model.bayes_posterior. filter_dataset, run once at the dynamics estimate,
+buffers. A step is the Bayes rule's arithmetic where every history's
+observation is possible, a few ufunc calls, and the floor is checked once per
+pass: model.bayes_posterior, the one home of the floor rule, redoes only the
+steps that fall below it. filter_dataset, run once at the dynamics estimate,
 returns the beliefs in that layout (FilteredDataset): its observation term is
 the report's, and its decision rows (ChoicePoints) are stage two's. Stage
 one's score in the dynamics parameters is Fisher's identity, the smoothed
@@ -38,7 +40,7 @@ from .bellman import BellmanSolver, QTable, _logsumexp_actions, _softmax_actions
 from .bellman import solve as bellman_solve
 from .errors import InvalidParams, MaxIterExceeded, ZeroObservationProbability
 from .grid import BeliefGrid, read
-from .model import History, PomdpModel, _state_sum, bayes_posterior, block_table
+from .model import SIGMA_FLOOR, History, PomdpModel, _state_sum, bayes_posterior, block_table
 
 PRIOR_TERM = 0.0  # initial beliefs are treated as data, not parameters
 
@@ -72,11 +74,14 @@ class DatasetBlocks:
         steps = np.arange(self.acts.shape[1]) < self.horizons[:, None]
         n_a, n_z = int(self.acts.max(initial=0)) + 1, int(self.obs.max(initial=0)) + 1
         pad = n_a * n_z * n_z           # coded after every cell, so padding reads the last row
-        codes = np.where(steps, (self.acts * n_z + self.obs[:, :-1]) * n_z + self.obs[:, 1:], pad).T
-        found, cell_of = np.unique(codes, return_inverse=True)
-        cells = np.unravel_index(found[found < pad], (n_a, n_z, n_z))
+        codes = np.where(steps, (self.acts * n_z + self.obs[:, :-1]) * n_z + self.obs[:, 1:], pad)
+        codes = np.ascontiguousarray(codes.T)                         # time-major, so index is contiguous
+        present = np.zeros(pad + 1, dtype=bool)
+        present[codes] = True
+        cells = np.unravel_index(np.flatnonzero(present[:pad]), (n_a, n_z, n_z))
+        cell_of = (np.cumsum(present) - 1)[codes]                     # rank among the distinct codes
         n_q = self.x0.shape[1] ** 2
-        index = cell_of.reshape(steps.T.shape)[:, None, :] + (cells[0].size + 1) * np.arange(n_q)[:, None]
+        index = cell_of[:, None, :] + (cells[0].size + 1) * np.arange(n_q)[:, None]
         for name, value in (("steps", steps), ("cells", cells), ("index", index)):
             object.__setattr__(self, name, value)
 
@@ -119,6 +124,26 @@ class FilteredDataset:
         return FilteredDataset(data, beliefs, self.sigmas[:, burn_in:], self.model_key)
 
 
+def _filter_steps(trans, xs, numer, sigmas, start: int) -> int:
+    """Bayes steps start, start + 1, ... of every history, without the floor rule.
+
+    Step t turns trans[t] into the products x_t(j) K_t(j, k) in place and
+    writes numer[t], sigmas[t] and xs[t + 1] as model.bayes_posterior does
+    where every sigma reaches the floor. Returns the first step at or after
+    start where some sigma does not (its belief, and every later one of that
+    history, is then meaningless), or the horizon.
+    """
+    total = np.empty(sigmas.shape[1])
+    views = zip(trans[start:], xs[start:-1, :, None], numer[start:], sigmas[start:], xs[start + 1 :])
+    with np.errstate(all="ignore"):     # a vanished sigma divides by 0; the floor check below finds it
+        for k, x, n, sig, x_next in views:
+            _state_sum(np.multiply(k, x, out=k), out=n)
+            np.divide(n, _state_sum(n, out=sig), out=x_next)
+            x_next /= _state_sum(x_next, out=total)
+    reached = sigmas[start:] >= SIGMA_FLOOR      # False where sigma is NaN, too
+    return sigmas.shape[0] if reached.all() else start + int(np.argmin(reached)) // sigmas.shape[1]
+
+
 def _scan(kernel_blocks, data: DatasetBlocks, burn_in: int, penalize: bool, store: bool):
     """Filter every history at once. Returns (obs_loglik, beliefs, sigmas, score).
 
@@ -132,9 +157,17 @@ def _scan(kernel_blocks, data: DatasetBlocks, burn_in: int, penalize: bool, stor
     filtering continues from a uniform belief; otherwise it raises.
 
     The forward pass is time-major, with histories on the last axis: it
-    gathers every step's block K_t (T, s, s', b) at once (data.index) and
-    stores x_t, numer_t = x_t K_t, sigma_t and the live steps, each step
-    a few ufunc calls on contiguous (s, b) slices. With d_blocks a reverse
+    gathers every step's block K_t (T, s, s', b) at once (data.index), turns
+    each step's block in place into the products x_t(j) K_t(j, k), which the
+    reverse pass reads, and stores x_t, numer_t = x_t K_t and sigma_t, each
+    step a few ufunc calls on contiguous (s, b) slices (_filter_steps). The
+    floor is tested once, after the last step. The first step where some
+    sigma is below it is redone by model.bayes_posterior, which floors it (or
+    the pass raises, naming that step's first such history); the later steps
+    are gathered again and refiltered from there, and live marks the floored
+    steps dead. So a pass costs about one more partial pass for each distinct
+    step at which some history floors. Kernel entries must be non-negative, as
+    a model's are: the steps do not clamp beliefs at 0. With d_blocks a reverse
     pass returns the score d obs_loglik/du by Fisher's identity: the sum over
     steps and hidden pairs (j, k) of W_t(j, k) d log K_t(j, k), where from
     h_T = 0
@@ -159,36 +192,42 @@ def _scan(kernel_blocks, data: DatasetBlocks, burn_in: int, penalize: bool, stor
     b, horizon = data.acts.shape
     n_s, n_rows, steps = data.x0.shape[1], blocks.shape[0] + 1, data.steps.T
     rows = np.append(block_of[data.cells], n_rows - 1)                  # each cell's row, the identity's last
-    table = np.concatenate([blocks, np.eye(n_s)[None]])[rows].reshape(rows.size, -1)
-    trans = np.take(table.T.ravel(), data.index).reshape(horizon, n_s, n_s, b)
+    table = np.concatenate([blocks, np.eye(n_s)[None]])[rows].reshape(rows.size, -1).T.ravel()
+    trans = np.take(table, data.index).reshape(horizon, n_s, n_s, b)
     xs, numer = np.empty((horizon + 1, n_s, b)), np.empty((horizon, n_s, b))
-    sigmas, live = np.empty((horizon, b)), np.empty((horizon, b), dtype=bool)
+    sigmas, live = np.empty((horizon, b)), np.ones((horizon, b), dtype=bool)
     xs[0] = data.x0.T
-    products = np.empty((n_s, n_s, b))
-    for t in range(horizon):
-        _state_sum(np.multiply(trans[t], xs[t, :, None], out=products), out=numer[t])
+    t = 0
+    while (t := _filter_steps(trans, xs, numer, sigmas, t)) < horizon:
         bayes_posterior(numer[t], out=(xs[t + 1], sigmas[t], live[t]))
-        if not penalize and not np.all(live[t]):
+        if not penalize:
             bad = int(np.flatnonzero(~live[t])[0])
             raise ZeroObservationProbability(
                 f"history {bad}: observation z={int(data.obs[bad, t + 1])} has "
                 f"probability 0 at step {t}",
                 step=t,
             )
+        t += 1                                  # later steps hold products with stale beliefs: gather K again
+        trans[t:] = np.take(table, data.index[t:]).reshape(trans[t:].shape)
     sigmas[~steps] = 1.0
     live &= steps
     total = float(np.log(sigmas[burn_in:]).sum())
     score = None
     if d_blocks is not None:
-        xk = np.multiply(trans, xs[:-1, :, None], out=trans)             # x_t(j) K_t(j, k)
-        w = xk / np.where((numer > 0.0) & live[:, None], numer, np.inf)[:, None]   # R_t, 0 on dead steps
+        xk = trans                                                        # x_t(j) K_t(j, k)
+        # the least positive double keeps every positive numer; where numer_t(k)
+        # is 0, so is each x_t(j) K_t(j, k), and R_t reads 0
+        den = np.maximum(numer, np.nextafter(0.0, 1.0))
+        if not live.all():
+            np.copyto(den, np.inf, where=~live[:, None])                  # R_t is 0 on dead steps
+        w = xk / den[:, None]                                             # R_t
         xk *= (live / sigmas)[:, None, None]                              # two-slice filter law
-        h, c = np.zeros((n_s, b)), np.empty(b)
-        for t in range(horizon - 1, -1, -1):
+        h, c, products = np.zeros((n_s, b)), np.empty(b), np.empty((n_s, n_s, b))
+        for w_t, xk_t, t in zip(w[::-1], xk[::-1], range(horizon - 1, -1, -1)):
             np.subtract(float(t >= burn_in), _state_sum(h, out=c), out=c)
-            w[t] *= h
-            w[t] += np.multiply(xk[t], c, out=products)                  # W_t
-            _state_sum(w[t].transpose(1, 0, 2), out=h)
+            w_t *= h
+            w_t += np.multiply(xk_t, c, out=products)                    # W_t
+            _state_sum(w_t.transpose(1, 0, 2), out=h)
         per_cell = np.bincount(data.index.ravel(), w.ravel(), rows.size * n_s * n_s)
         to_row = (rows + n_rows * np.arange(n_s * n_s)[:, None]).ravel()
         per_row = np.bincount(to_row, per_cell, n_rows * n_s * n_s).reshape(-1, n_rows)[:, :-1]

@@ -188,7 +188,10 @@ def bayes_posterior(numer: np.ndarray, out=None):
     renormalized. out = (beliefs, sigma, live) are arrays to write into (views
     included). Sums run state by state, in state order: with the state axis
     first each term is one slice, and a reduction over the short axis costs
-    more. A caller with states last passes numer.T and transposes back.
+    more. A caller with states last passes numer.T and transposes back. This
+    is the one home of the floor rule: the filter pass does the live branch's
+    arithmetic itself and calls this only at steps where some mass is below
+    the floor.
     """
     n = numer.shape[0]
     if out is None:

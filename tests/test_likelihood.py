@@ -304,6 +304,58 @@ def test_floored_steps_add_nothing_to_the_score():
     assert score_of(restart)[1][0] == pytest.approx(score_of(fresh)[1][0], rel=1e-14)
 
 
+def _never_to_the_last_observation(n_obs: int = 3) -> PomdpModel:
+    """Random two-state model under which observation n_obs - 1 is never reached."""
+    kernel = np.random.default_rng(5).random((1, n_obs, 2, n_obs, 2))
+    kernel[:, :, :, -1] = 0.0
+    kernel /= kernel.sum(axis=(3, 4), keepdims=True)
+    return PomdpModel(2, n_obs, 1, kernel, np.zeros((1, n_obs, 2)), 0.9)
+
+
+def test_unpenalized_pass_reports_the_earliest_impossible_step():
+    # the floor is tested once per pass, yet the error names the first step at
+    # which some history is impossible, and that step's first such history
+    m = _never_to_the_last_observation()
+    acts = np.zeros(4, dtype=np.int64)
+    late = History(Belief.uniform(2), np.array([0, 1, 0, 1, 2]), acts)    # impossible at step 3
+    early = History(Belief.uniform(2), np.array([1, 0, 2, 1, 0]), acts)   # impossible at step 1
+    data = DatasetBlocks.from_histories([late, early], m)
+    for call in (lambda: filter_dataset(m, data), lambda: observation_loglik(m.kernel, data)):
+        with pytest.raises(ZeroObservationProbability) as exc:
+            call()
+        assert exc.value.step == 1
+        assert str(exc.value) == "history 1: observation z=2 has probability 0 at step 1"
+
+
+@pytest.mark.parametrize("burn_in", [0, 2])
+def test_floor_restarts_match_histories_filtered_alone(burn_in):
+    # histories that floor at step 0, at two separate later steps and at their
+    # last step, with a live one and mixed horizons: every restart refilters
+    # the later steps, and each history's beliefs and sigmas come out as when
+    # it is filtered alone
+    m = _never_to_the_last_observation()
+    direction = np.random.default_rng(6).standard_normal(m.kernel.shape)
+    table = _one_direction(m.kernel, direction)
+    obs = [
+        [0, 2, 1, 0, 1, 0, 1],      # step 0
+        [1, 0, 1, 2, 0, 2, 1],      # steps 2 and 4
+        [0, 1, 1, 0, 0, 1, 2],      # step 5, its last
+        [1, 1, 0, 1, 2],            # step 3, the last of a shorter history
+        [0, 0, 1, 0, 1, 1, 0],      # never
+    ]
+    x0s = [Belief(np.array([0.3 + 0.1 * i, 0.7 - 0.1 * i])) for i in range(len(obs))]
+    hs = [History(x0, np.array(o), np.zeros(len(o) - 1, dtype=np.int64)) for x0, o in zip(x0s, obs)]
+    data = DatasetBlocks.from_histories(hs, m)
+    value, beliefs, sigmas, score = _scan(table, data, burn_in, penalize=True, store=True)
+    alone = [_scan(table, DatasetBlocks.from_histories([h], m), burn_in, True, True) for h in hs]
+    assert int((sigmas == SIGMA_FLOOR).sum()) == 5
+    for i, (h, (_, b_i, s_i, _)) in enumerate(zip(hs, alone)):
+        np.testing.assert_array_equal(beliefs[i, : h.horizon + 1], b_i[0])
+        np.testing.assert_array_equal(sigmas[i, : h.horizon], s_i[0])
+    assert value == pytest.approx(sum(a[0] for a in alone), rel=1e-12)
+    np.testing.assert_allclose(score, sum(a[3] for a in alone), rtol=1e-12, atol=0)
+
+
 def _assert_matches_the_oracle(kernel_blocks, data, burn_in):
     value, score = observation_score(kernel_blocks, data, burn_in, penalize=True)
     oracle = forward_tangent_score(kernel_blocks, data, burn_in)
@@ -425,7 +477,8 @@ def test_dataset_is_laid_out_once_per_fit():
 def test_layout_indexes_the_cells_its_steps_visit():
     # cells are the distinct (a, z, z') of the steps inside the horizons, in
     # sorted order; each step's index reads its cell's block, and padding
-    # steps read the identity row after the cells
+    # steps read the identity row after the cells; index is time-major and
+    # contiguous, as a pass gathers through it
     m = sparse_random_model(seed=82, n_states=3)
     rng = np.random.default_rng(84)
     hs = [simulate_crude(m, rng, t) for t in (4, 9, 0, 12, 6)]
@@ -434,7 +487,7 @@ def test_layout_indexes_the_cells_its_steps_visit():
     assert list(zip(*(c.tolist() for c in data.cells))) == visited
     n_cells, steps = len(visited), data.steps.T
     cell_of = data.index[:, 0, :]
-    assert data.index.shape == (12, 9, 5)
+    assert data.index.shape == (12, 9, 5) and data.index.flags.c_contiguous
     np.testing.assert_array_equal(data.index, cell_of[:, None, :] + (n_cells + 1) * np.arange(9)[:, None])
     assert np.all(cell_of[~steps] == n_cells)
     for c, step_of in zip(data.cells, (data.acts.T, data.obs[:, :-1].T, data.obs[:, 1:].T)):
